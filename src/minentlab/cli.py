@@ -29,7 +29,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -147,6 +146,13 @@ def _emit(args, config: dict, checks: list[dict], raw_bytes=None) -> int:
     return 1 if failed else 0
 
 
+def _gate(what: str, n: int, limit: int) -> None:
+    """Refuse an n above a library size gate before building anything of
+    size 2^n."""
+    if n > limit:
+        raise ValueError(f"{what} n <= {limit}, got n = {n}")
+
+
 # ---------------------------------------------------------------- bases
 
 _BASIS_LABELS = ("plus", "x", "circular", "breidbart")
@@ -203,6 +209,7 @@ def _builtin_adversary(name: str, n: int) -> protocols.BoundedAdversary:
 
 
 def _load_adversary(spec: str, n: int) -> protocols.BoundedAdversary:
+    _gate("exact checkers handle", n, protocols.MAX_ATTACK_QUBITS)
     if spec in BUILTIN_ADVERSARIES:
         return _builtin_adversary(spec, n)
     with open(spec) as fh:
@@ -214,6 +221,8 @@ def _load_adversary(spec: str, n: int) -> protocols.BoundedAdversary:
 
 def _script_battery(n: int, l: int) -> list[protocols.ScriptedSender]:
     """Three fixed dishonest-sender scripts used by ``ot check-receiver``."""
+    _gate("exact receiver-security check handles", n,
+          protocols.MAX_RECEIVER_QUBITS)
     dim = 2 ** n
     f0 = hashing.sample_hash(n, l, np.random.default_rng(101))
     f1 = hashing.sample_hash(n, l, np.random.default_rng(202))
@@ -331,6 +340,7 @@ def cmd_verify(args) -> tuple[dict, list[dict]]:
         config.update({"n": args.n, "bases": args.bases, "lam": args.lam,
                        "state": args.state, "seed": args.seed})
         bs = _basis_set(args.bases, args.seed)
+        uncertainty.check_relation_size(bs, args.n)
         state = _relation_state(args.state, args.n, args.seed)
         rep = uncertainty.verify_uncertainty_relation(state, bs, args.lam)
         checks.append(_check("relation", value=rep.smooth_min_entropy,
@@ -343,6 +353,8 @@ def cmd_verify(args) -> tuple[dict, list[dict]]:
 def _random_ccq(n: int, q: int, seed: int) -> qsim.CqState:
     """Random ccq-state for the privacy-amplification verifier: a random
     source distribution with one pure memory state per symbol."""
+    _gate("privacy-amplification verifier handles", n,
+          hashing.MAX_PA_SOURCE_BITS)
     rng = np.random.default_rng(seed)
     probs = rng.random(2 ** n)
     probs /= probs.sum()
@@ -566,9 +578,7 @@ def cmd_sweep(args) -> tuple[dict, list[dict], bytes]:
     entries = _parse_sweep_config(args.config)
     task, master, columns, rows = _sweep_plan(entries)
 
-    with ThreadPoolExecutor(max_workers=min(8, max(1, len(rows)))) as pool:
-        results = list(pool.map(
-            lambda row: _sweep_cell(task, entries, row), rows))
+    results = [_sweep_cell(task, entries, row) for row in rows]
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

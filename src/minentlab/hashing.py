@@ -8,7 +8,8 @@ smooth min-entropy H against side information of q qubits leaves a state
 within (1/2) * 2^(-(H - q - l)/2) + 2*eps of uniform-and-independent.
 
 verify_pa computes the family-averaged trace distance exactly (full
-enumeration over all 2^(n+l-1) hashes), so it is only usable for n <= 8.
+enumeration over all 2^(n+l-1) hashes), so it is only usable for
+n <= MAX_PA_SOURCE_BITS = 8.
 """
 
 from __future__ import annotations
@@ -23,6 +24,13 @@ from . import qsim
 from .distrib import JointDistribution, smooth_min_entropy_conditional
 
 SLACK = 1e-9
+# Longest source verify_pa enumerates the hash family for; the command line
+# reads it too, before it builds a source.
+MAX_PA_SOURCE_BITS = 8
+# verify_pa accumulates the branch operators of this many (hash, input,
+# operator entry) triples at a time, which caps its working memory at a few
+# megabytes whatever n, l and the memory size are.
+_PA_BLOCK_ENTRIES = 1 << 17
 
 
 def _bits(value, n: int) -> np.ndarray:
@@ -239,8 +247,9 @@ def verify_pa(cq: qsim.CqState, l: int, eps: float) -> PrivacyAmpReport:
     if not (isinstance(first, tuple) and len(first) == 2 and isinstance(first[0], tuple)):
         raise ValueError("branches must be keyed by (x bits, u)")
     n = len(first[0])
-    if n > 8:
-        raise ValueError("source too long for exact family enumeration")
+    if n > MAX_PA_SOURCE_BITS:
+        raise ValueError("source too long for exact family enumeration "
+                         f"(n <= {MAX_PA_SOURCE_BITS})")
     l = int(l)
     if l > n:
         raise ValueError("output longer than input")
@@ -256,16 +265,21 @@ def verify_pa(cq: qsim.CqState, l: int, eps: float) -> PrivacyAmpReport:
         xi = int("".join(str(int(b) & 1) for b in x), 2)
         ops[u_index[u], xi] += op.matrix
 
+    # real[hash, s] sums the (u, E) operators of the inputs hashing to s;
+    # ideal spreads each u's operator evenly over the outputs
+    per_x = np.ascontiguousarray(ops.transpose(1, 0, 2, 3)).reshape(2 ** n, -1)
+    ideal = ops.sum(axis=1).reshape(-1) / 2 ** l
     family = enumerate_hash_family(n, l)
-    dist = 0.0
-    for h in family:
-        table = hash_output_table(h)
-        for ui in range(len(u_values)):
-            ideal = ops[ui].sum(axis=0) / 2 ** l
-            for s in range(2 ** l):
-                real = ops[ui][table == s].sum(axis=0)
-                dist += 0.5 * qsim.trace_norm(real - ideal)
-    dist /= len(family)
+    block = max(1, _PA_BLOCK_ENTRIES // per_x.size)
+    total = 0.0
+    for start in range(0, len(family), block):
+        tables = np.stack([hash_output_table(h)
+                           for h in family[start:start + block]])
+        real = np.zeros((len(tables), 2 ** l, per_x.shape[1]), complex)
+        np.add.at(real, (np.arange(len(tables))[:, None], tables), per_x)
+        diff = (real - ideal).reshape(-1, dim, dim)
+        total += float(qsim._trace_norms(diff).sum())
+    dist = 0.5 * total / len(family)
 
     weights = {}
     for (x, u), op in cq.branches.items():

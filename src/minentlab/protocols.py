@@ -33,9 +33,13 @@ from scipy.linalg import hadamard
 from scipy.optimize import minimize
 
 from . import qsim
-from .hashing import ToeplitzHash, apply_hash, sample_hash
+from .hashing import ToeplitzHash, apply_hash, hash_output_table, sample_hash
 
 SLACK = 1e-9
+# Size gates of the exact checkers, read by the command line before it
+# builds an adversary or a script.
+MAX_ATTACK_QUBITS = 8
+MAX_RECEIVER_QUBITS = 6
 
 _H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
@@ -65,8 +69,16 @@ def _subset_indices(theta: Sequence[int], b: int) -> list[int]:
     return [i for i, t in enumerate(theta) if t == b]
 
 
-def _pack_bits(x: Sequence[int]) -> tuple[int, ...]:
-    return tuple(int(v) & 1 for v in x)
+def _subset_codes(n: int, indices: Sequence[int]) -> np.ndarray:
+    """For every n-bit string x (most significant bit first), the integer
+    whose bits are x[i] for i in ``indices``, the first index most
+    significant: the substring index that hash tables and (x0, x1) axes
+    use."""
+    x = np.arange(2 ** n)
+    code = np.zeros(2 ** n, dtype=np.int64)
+    for wire in indices:
+        code = (code << 1) | ((x >> (n - 1 - wire)) & 1)
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -334,61 +346,45 @@ def check_receiver_security(sender: ScriptedSender, l: int,
     traced out.
     """
     n = sender.n
-    if n > 6:
-        raise ValueError("exact receiver-security check handles n <= 6")
+    if n > MAX_RECEIVER_QUBITS:
+        raise ValueError("exact receiver-security check handles "
+                         f"n <= {MAX_RECEIVER_QUBITS}")
     side_dim = int(np.prod(sender.side_dims)) if sender.side_dims else 1
     prior = np.asarray(prior_c, dtype=float)
     if prior.shape != (2,) or abs(prior.sum() - 1.0) > 1e-9 or prior.min() < 0:
         raise ValueError("prior_c must be a distribution over {0, 1}")
     hashes = (sender.f0, sender.f1)
-    subsets = (_subset_indices(sender.theta, 0), _subset_indices(sender.theta, 1))
+    # out[c][x]: hash c of the subset-c substring of x, as an integer
+    out = []
+    for c in (0, 1):
+        subset = _subset_indices(sender.theta, c)
+        out.append(hash_output_table(hashes[c], len(subset))
+                   [_subset_codes(n, subset)])
+    size = 2 ** max(f.output_bits for f in hashes)
+    shape = (side_dim, side_dim)
 
-    real: dict[tuple, np.ndarray] = {}
+    # (choice, output) branches of both experiments; (choice, s0, s1)
+    # branches of the comparison experiment
+    real = np.zeros((2, size) + shape, complex)
+    ideal = np.zeros((2, size) + shape, complex)
+    triple = np.zeros((2, size, size) + shape, complex)
+    own = _rotated_side_ops(sender.state, n, side_dim, sender.theta)
     for c in (0, 1):
         ops = _rotated_side_ops(sender.state, n, side_dim, [c] * n)
-        for xp in range(2 ** n):
-            bits = [(xp >> (n - 1 - i)) & 1 for i in range(n)]
-            y = _hash_substring(hashes[c], bits, subsets[c])
-            key = (c, y)
-            acc = real.setdefault(key, np.zeros((side_dim, side_dim), complex))
-            acc += prior[c] * ops[xp]
-
-    ideal: dict[tuple, np.ndarray] = {}
-    triple: dict[tuple, np.ndarray] = {}
-    ops = _rotated_side_ops(sender.state, n, side_dim, sender.theta)
-    for x in range(2 ** n):
-        bits = [(x >> (n - 1 - i)) & 1 for i in range(n)]
-        s0 = _hash_substring(sender.f0, bits, subsets[0])
-        s1 = _hash_substring(sender.f1, bits, subsets[1])
-        for c, s in ((0, s0), (1, s1)):
-            key = (c, s)
-            acc = ideal.setdefault(key, np.zeros((side_dim, side_dim), complex))
-            acc += prior[c] * ops[x]
-            acc3 = triple.setdefault((c, s0, s1),
-                                     np.zeros((side_dim, side_dim), complex))
-            acc3 += prior[c] * ops[x]
-
-    distance = 0.0
-    zero = np.zeros((side_dim, side_dim), complex)
-    for key in set(real) | set(ideal):
-        distance += 0.5 * qsim.trace_norm(real.get(key, zero) - ideal.get(key, zero))
+        np.add.at(real[c], out[c], prior[c] * ops)
+        np.add.at(ideal[c], out[c], prior[c] * own)
+        np.add.at(triple[c], (out[0], out[1]), prior[c] * own)
+    distance = 0.5 * float(qsim._trace_norms(real - ideal).sum())
 
     # factorization defect: (C, S0, S1, side) vs P_C x (S0, S1, side)
-    marg_c = np.zeros(2)
-    marg_s: dict[tuple, np.ndarray] = {}
-    for (c, s0, s1), op in triple.items():
-        marg_c[c] += float(np.trace(op).real)
-        acc = marg_s.setdefault((s0, s1), np.zeros((side_dim, side_dim), complex))
-        acc += op
-    independence = 0.0
-    for (s0, s1), g in marg_s.items():
-        for c in (0, 1):
-            branch = triple.get((c, s0, s1), zero)
-            independence += 0.5 * qsim.trace_norm(branch - marg_c[c] * g)
+    marg_c = np.einsum("cabii->c", triple).real
+    marg_s = triple.sum(axis=0)
+    independence = 0.5 * float(qsim._trace_norms(
+        triple - marg_c[:, None, None, None, None] * marg_s).sum())
 
     # in the comparison experiment the reported output is s_c by definition;
     # the figure below is that tautology evaluated numerically (total mass)
-    match = sum(float(np.trace(op).real) for op in ideal.values())
+    match = float(np.einsum("csii->", ideal).real)
     if abs(match - 1.0) > 1e-7:
         raise qsim.DimensionMismatchError(
             f"comparison state mass {match} is not 1; script state invalid")
@@ -503,8 +499,9 @@ def product_adversary(name: str, n: int, measure: Mapping[int, object],
 
 
 def _guard_attack_size(adversary: BoundedAdversary) -> None:
-    if adversary.n > 8:
-        raise ValueError("exact checkers handle at most n = 8 qubits")
+    if adversary.n > MAX_ATTACK_QUBITS:
+        raise ValueError("exact checkers handle at most "
+                         f"n = {MAX_ATTACK_QUBITS} qubits")
     if adversary.q > 2:
         raise ValueError("memory bound capped at q = 2")
     if adversary.ancillas > 2:
@@ -566,27 +563,7 @@ class _EprAttack:
             worst = max(worst, float(ratios.max()))
         if worst <= 0.0:
             raise ValueError("adversary state carries no probability mass")
-        return -math.log2(worst)
-
-
-def _batched_trace_norm(mats: np.ndarray) -> np.ndarray:
-    """Trace norms of a (...,D,D) stack of Hermitian matrices.
-
-    D=1 and D=2 are handled in closed form; larger blocks fall back to
-    batched eigenvalues (infrastructure; the protocol checkers only use
-    D <= 4, and tests pin the closed forms against the Jacobi route).
-    """
-    d = mats.shape[-1]
-    if d == 1:
-        return np.abs(mats[..., 0, 0].real)
-    if d == 2:
-        tr = mats[..., 0, 0].real + mats[..., 1, 1].real
-        det = (mats[..., 0, 0].real * mats[..., 1, 1].real
-               - np.abs(mats[..., 0, 1]) ** 2)
-        disc = np.maximum(tr * tr - 4.0 * det, 0.0)
-        return np.where(det >= -1e-15, np.abs(tr), np.sqrt(disc))
-    vals = np.linalg.eigvalsh(mats)
-    return np.abs(vals).sum(axis=-1)
+        return 0.0 - math.log2(worst)     # +0.0, not -0.0, when worst == 1
 
 
 # ---------------------------------------------------------------------------
@@ -687,8 +664,8 @@ def _family_average_distance(attack: _EprAttack, tau: float
                 ref = b2[0:1]          # frequency 0 on the x1 side
             else:
                 ref = b2[:, 0:1]       # frequency 0 on the x0 side
-            part = (_batched_trace_norm(ref + b2).sum()
-                    + _batched_trace_norm(ref - b2).sum())
+            part = (qsim._trace_norms(ref + b2).sum()
+                    + qsim._trace_norms(ref - b2).sum())
             total += theta_prior * freq_prior * 0.25 * float(part)
     return total, prob_c1
 
@@ -699,17 +676,11 @@ def security_error_bound(alpha: float, q: int, l: int) -> dict:
     Chain: splitting with smoothing eps', one-bit-per-hash leakage of the
     other secret via the chain rule with eps'', then the extractor bound
     against q stored qubits.  Both smoothing parameters are optimized in
-    closed form; a grid confirms the stationary point.
+    closed form: 0.5 * 2^(-a/2) / t + 4 t is least at t* = 2^(-a/4 - 1.5).
     """
     a_eff = alpha / 2.0 - 1.0 - 2.0 * l - q
     t_star = 2.0 ** (-a_eff / 4.0 - 1.5)
     raw = 2.0 ** 1.5 * 2.0 ** (-a_eff / 4.0)
-    ts = np.logspace(-14, 0, 2000)
-    grid = 0.5 * 2.0 ** (-a_eff / 2.0) / ts + 4.0 * ts
-    grid_min = float(grid.min())
-    if grid_min < raw - 1e-9 * max(1.0, raw):
-        raise AssertionError("grid found a better smoothing than the "
-                             "stationary point; bound assembly is wrong")
     return {"exponent": a_eff, "epsSmooth": t_star, "raw": raw,
             "capped": min(1.0, raw),
             "minEntropyAfterSplit": alpha / 2.0 - 1.0 - math.log2(1.0 / t_star),
@@ -918,14 +889,10 @@ def check_binding(committer: BoundedAdversary) -> BindingReport:
     unc = {0: np.zeros((k_dim, size, d, d), complex),
            1: np.zeros((k_dim, size, d, d), complex)}
     prob_bb = np.zeros(2)
-    all_bits = ((np.arange(size)[:, None] >> (n - 1 - np.arange(n))[None, :])
-                & 1).astype(np.int64)
 
     for ti in range(size):
         theta = [(ti >> (n - 1 - i)) & 1 for i in range(n)]
-        a, m0, m1 = _split_amplitudes(attack, theta)
-        i0 = _subset_indices(theta, 0)
-        i1 = _subset_indices(theta, 1)
+        a, _, _ = _split_amplitudes(attack, theta)
         w = np.einsum("abki,abkj->abkij", a, a.conj())
         mask1 = _high_subset_mask(a, tau)
         weights = np.einsum("abkii->abk", w).real
@@ -933,12 +900,8 @@ def check_binding(committer: BoundedAdversary) -> BindingReport:
         prob_bb[0] += theta_prior * float(weights.sum(axis=0)[~mask1].sum())
 
         # pack x' into substring indices matching the (x0, x1) axes
-        w0map = np.zeros(size, dtype=np.int64)
-        for j, wire in enumerate(i0):
-            w0map |= all_bits[:, wire] << (m0 - 1 - j)
-        w1map = np.zeros(size, dtype=np.int64)
-        for j, wire in enumerate(i1):
-            w1map |= all_bits[:, wire] << (m1 - 1 - j)
+        w0map = _subset_codes(n, _subset_indices(theta, 0))
+        w1map = _subset_codes(n, _subset_indices(theta, 1))
 
         wm1 = w * mask1[None, :, :, None, None]
         wm0 = w * (~mask1)[None, :, :, None, None]

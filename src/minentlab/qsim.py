@@ -2,9 +2,11 @@
 
 Dense state vectors and density operators over a list of subsystem
 dimensions, projective measurements with sub-normalized branch operators,
-partial trace, trace distance and Haar-random bases.  Everything is exact at
-desk scale (up to roughly twelve qubits); there is no sparse or stabilizer
-path and no approximation anywhere.
+partial trace, trace norms and trace distance, and Haar-random bases.
+Everything is exact at desk scale (up to roughly twelve qubits); there is no
+sparse or stabilizer path and no approximation anywhere.  Trace norms come
+from one batched kernel over stacks of Hermitian operators: closed forms for
+1x1 and 2x2 blocks, LAPACK eigvalsh above that.
 
 All functions are pure.  Randomness enters only through an explicitly passed
 ``numpy.random.Generator``.
@@ -18,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-HERMITIAN_TOL = 1e-12
+HERMITIAN_TOL = 1e-9
 PSD_TOL = 1e-10
 NORM_TOL = 1e-12
 ORTHO_TOL = 1e-10
@@ -100,7 +102,8 @@ class StateVector:
 class DensityOperator:
     """Possibly sub-normalized density operator on a register.
 
-    Hermitian within 1e-12, eigenvalues >= -1e-10, trace in (0, 1 + 1e-12].
+    Hermitian within 1e-9 (the check of ``hermitian_eigenvalues``), lowest
+    eigenvalue >= -1e-10 * max(1, trace), trace in (-1e-10, 1 + 1e-9].
     Sub-normalized operators represent measurement branches and event-
     restricted states, so the trace may be well below one.
     """
@@ -113,18 +116,12 @@ class DensityOperator:
         total = int(np.prod(dims))
         mat = _frozen_array(matrix, (total, total))
         if validate:
-            herm = float(np.max(np.abs(mat - mat.conj().T))) if total else 0.0
-            if herm > 1e-9:
-                raise ValueError(f"matrix is not Hermitian (deviation {herm:g})")
+            lo = float(hermitian_eigenvalues(mat)[0])
             tr = float(mat.trace().real)
             if tr > 1.0 + 1e-9 or tr <= -PSD_TOL:
                 raise ValueError(f"trace {tr} outside (0, 1]")
-            # eigvalsh here is plumbing: the trusted spectral path used by
-            # trace_distance is the self-contained Jacobi solver below.
-            if total > 1:
-                lo = float(np.linalg.eigvalsh(mat)[0])
-                if lo < -PSD_TOL * max(1.0, tr):
-                    raise ValueError(f"operator has negative eigenvalue {lo:g}")
+            if lo < -PSD_TOL * max(1.0, tr):
+                raise ValueError(f"operator has negative eigenvalue {lo:g}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "matrix", mat)
 
@@ -215,72 +212,57 @@ def epr_pair() -> StateVector:
 
 
 # ---------------------------------------------------------------------------
-# Self-contained Hermitian eigensolver (cyclic Jacobi).
+# Spectra and trace norms.
 #
-# trace_distance is the central closeness measure of every checker in this
-# package, so its spectral decomposition does not lean on LAPACK: a cyclic
-# Jacobi iteration is slow but transparent and accurate to ~1e-14 at the
-# matrix sizes that occur here (<= a few hundred).  Tests cross-check it
-# against numpy's eigvalsh on random Hermitian matrices.
+# _trace_norms is the one trace-norm kernel of the package: every checker
+# builds a stack of Hermitian operators and hands it over in one call.  The
+# public entries below validate Hermiticity first; package code calls the
+# kernel directly on operators that are Hermitian by construction, so hot
+# loops do not pay for the check.  Tests pin both against SVD and against an
+# independent Jacobi eigensolver.
 # ---------------------------------------------------------------------------
 
-def hermitian_eigenvalues(matrix, max_sweeps: int = 60,
-                          tol: float = 1e-13) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix by cyclic Jacobi rotations.
-
-    Converges when the off-diagonal Frobenius mass drops below ``tol`` times
-    the matrix scale.  Raises RuntimeError if that does not happen within
-    ``max_sweeps`` sweeps (does not occur for Hermitian input).
-    """
-    a = np.array(matrix, dtype=np.complex128)
-    n = a.shape[0]
-    if a.shape != (n, n):
+def _require_hermitian(a: np.ndarray) -> None:
+    """Raise unless ``a`` is a square matrix or a (..., D, D) stack whose
+    matrices each deviate from Hermitian by at most
+    HERMITIAN_TOL * max(1, its largest entry)."""
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatchError("matrix must be square")
-    herm = float(np.max(np.abs(a - a.conj().T))) if n else 0.0
-    scale = max(1.0, float(np.max(np.abs(a))) if n else 0.0)
-    if herm > 1e-9 * scale:
-        raise ValueError(f"matrix is not Hermitian (deviation {herm:g})")
-    a = 0.5 * (a + a.conj().T)
-    if n < 2:
-        return a.real.diagonal().copy()
-    for _ in range(max_sweeps):
-        # Off-diagonal Frobenius mass, summed directly.  Subtracting the
-        # diagonal mass from the total cancels to ~sqrt(eps)*scale and can
-        # never reach tol.
-        off_part = a.copy()
-        np.fill_diagonal(off_part, 0.0)
-        off = math.sqrt(float(np.sum(np.abs(off_part) ** 2)))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                r = abs(apq)
-                if r <= 1e-18 * scale:
-                    continue
-                phase = apq / r
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # A <- N^dag A N with N = [[c*u, s*u], [-s, c]] on the
-                # (p, q) plane; kills the pivot, keeps Hermiticity.
-                u = phase
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * np.conj(u) * row_p - s * row_q
-                a[q, :] = s * np.conj(u) * row_p + c * row_q
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * u * col_p - s * col_q
-                a[:, q] = s * u * col_p + c * col_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    else:
-        raise RuntimeError("Jacobi eigensolver failed to converge")
-    vals = a.real.diagonal().copy()
-    vals.sort()
-    return vals
+    if a.size == 0:
+        return
+    dev = np.abs(a - np.swapaxes(a.conj(), -1, -2)).max(axis=(-2, -1))
+    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
+    if np.any(dev > HERMITIAN_TOL * scale):
+        raise ValueError(f"matrix is not Hermitian (deviation {dev.max():g})")
+
+
+def hermitian_eigenvalues(matrix) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, or of each matrix in a
+    (..., D, D) stack (LAPACK eigvalsh).  Raises ValueError on input that is
+    not Hermitian."""
+    a = np.asarray(matrix, dtype=np.complex128)
+    _require_hermitian(a)
+    return np.linalg.eigvalsh(a)
+
+
+def _trace_norms(mats: np.ndarray) -> np.ndarray:
+    """tr|M| for each matrix of a Hermitian (..., D, D) stack, unchecked.
+
+    D=1 and D=2 are closed forms: for D=2, tr|M| = max(|tr M|,
+    sqrt(tr^2 - 4 det)), the first when M is semidefinite and the second
+    (the eigenvalue gap) when it is indefinite.  Larger D sums the absolute
+    eigenvalues from eigvalsh.
+    """
+    d = mats.shape[-1]
+    if d == 1:
+        return np.abs(mats[..., 0, 0].real)
+    if d == 2:
+        a, b = mats[..., 0, 0].real, mats[..., 1, 1].real
+        tr = a + b
+        det = a * b - np.abs(mats[..., 0, 1]) ** 2
+        gap = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
+        return np.maximum(np.abs(tr), gap)
+    return np.abs(np.linalg.eigvalsh(mats)).sum(axis=-1)
 
 
 def _operand_matrix(x) -> tuple[tuple[int, ...] | None, np.ndarray]:
@@ -297,8 +279,7 @@ def trace_distance(a, b) -> float:
     """Trace distance (1/2)*tr|a - b| between two (sub-normalized) operators.
 
     Accepts DensityOperator, StateVector or a raw Hermitian matrix for either
-    argument.  Eigenvalues of the difference come from the self-contained
-    Jacobi solver.
+    argument.
     """
     dims_a, mat_a = _operand_matrix(a)
     dims_b, mat_b = _operand_matrix(b)
@@ -307,14 +288,17 @@ def trace_distance(a, b) -> float:
             f"operator shapes differ: {mat_a.shape} vs {mat_b.shape}")
     if dims_a is not None and dims_b is not None and dims_a != dims_b:
         raise DimensionMismatchError(f"register shapes differ: {dims_a} vs {dims_b}")
-    vals = hermitian_eigenvalues(mat_a - mat_b)
-    return 0.5 * float(np.sum(np.abs(vals)))
+    return 0.5 * trace_norm(mat_a - mat_b)
 
 
-def trace_norm(matrix) -> float:
-    """tr|M| for Hermitian M, via the same Jacobi path as trace_distance."""
-    vals = hermitian_eigenvalues(matrix)
-    return float(np.sum(np.abs(vals)))
+def trace_norm(matrix):
+    """tr|M| of a Hermitian matrix (a float), or of each matrix in a
+    (..., D, D) stack (an array).  Raises ValueError on input that is not
+    Hermitian."""
+    a = np.asarray(matrix, dtype=np.complex128)
+    _require_hermitian(a)
+    norms = _trace_norms(a)
+    return float(norms) if a.ndim == 2 else norms
 
 
 def partial_trace(op: DensityOperator, keep: Sequence[int]) -> DensityOperator:
@@ -523,11 +507,11 @@ def cq_trace_distance(a: CqState, b: CqState) -> float:
     if a.quantum_dims != b.quantum_dims:
         raise DimensionMismatchError("quantum registers differ")
     total = int(np.prod(a.quantum_dims))
-    zero = np.zeros((total, total), dtype=np.complex128)
-    keys = set(a.branches) | set(b.branches)
-    dist = 0.0
-    for key in keys:
-        ma = a.branches[key].matrix if key in a.branches else zero
-        mb = b.branches[key].matrix if key in b.branches else zero
-        dist += 0.5 * trace_norm(ma - mb)
-    return dist
+    keys = list(a.branches) + [k for k in b.branches if k not in a.branches]
+    diffs = np.zeros((len(keys), total, total), dtype=np.complex128)
+    for i, key in enumerate(keys):
+        if key in a.branches:
+            diffs[i] += a.branches[key].matrix
+        if key in b.branches:
+            diffs[i] -= b.branches[key].matrix
+    return 0.5 * float(_trace_norms(diffs).sum())

@@ -28,6 +28,8 @@ from .concentration import dependent_sequence_epsilon
 from .distrib import _entropy_bits, smooth_min_entropy_conditional_arrays
 
 SLACK = 1e-9
+# Largest exact joint (|B|^n * d^n atoms) verify_uncertainty_relation builds.
+MAX_RELATION_ATOMS = 5_000_000
 
 
 def maassen_uffink_bound(b1: qsim.Basis, b2: qsim.Basis) -> float:
@@ -266,6 +268,14 @@ class RelationReport:
                 "holds": self.holds}
 
 
+def check_relation_size(basis_set: BasisSet, n: int) -> None:
+    """Raise ValueError when the exact joint of n systems, |B|^n * d^n
+    atoms, exceeds MAX_RELATION_ATOMS."""
+    if (len(basis_set.bases) * basis_set.dim) ** n > MAX_RELATION_ATOMS:
+        raise ValueError("joint too large for exact enumeration "
+                         f"(|B|^n * d^n > {MAX_RELATION_ATOMS})")
+
+
 def verify_uncertainty_relation(state, basis_set: BasisSet,
                                 lam: float) -> RelationReport:
     """Check H_inf^eps(X | Theta) >= (h - 2 lambda) n on a concrete state.
@@ -284,8 +294,7 @@ def verify_uncertainty_relation(state, basis_set: BasisSet,
             f"state dims {dims} incompatible with basis dimension {d}")
     n = len(dims)
     nb = len(basis_set.bases)
-    if nb ** n * d ** n > 5_000_000:
-        raise ValueError("joint too large for exact enumeration")
+    check_relation_size(basis_set, n)
     rotations = [b.vectors.conj().T for b in basis_set.bases]
 
     pure = isinstance(state, qsim.StateVector)

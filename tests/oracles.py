@@ -2,9 +2,11 @@
 
 Everything here is deliberately written through different algorithms and
 different libraries than the package code: scipy linprog for smoothing,
-numpy eigvalsh/svd for spectra, mpmath for high-precision scalars, and
-plain dictionary bookkeeping for protocol state enumeration.  Agreement
-between a package routine and its oracle is evidence, not tautology.
+numpy svd and a self-contained cyclic Jacobi eigensolver for spectra (the
+package itself uses closed forms and LAPACK eigvalsh), mpmath for
+high-precision scalars, and plain dictionary bookkeeping for protocol state
+enumeration.  Agreement between a package routine and its oracle is
+evidence, not tautology.
 """
 
 from __future__ import annotations
@@ -52,6 +54,65 @@ def lp_smooth_min_entropy(weights, eps: float) -> float:
 def trace_norm_svd(m) -> float:
     return float(np.linalg.svd(np.asarray(m, dtype=complex),
                                compute_uv=False).sum())
+
+
+def jacobi_eigenvalues(matrix, max_sweeps: int = 60,
+                       tol: float = 1e-13) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix by cyclic Jacobi rotations.
+
+    Converges when the off-diagonal Frobenius mass drops below ``tol`` times
+    the matrix scale.  Raises RuntimeError if that does not happen within
+    ``max_sweeps`` sweeps (does not occur for Hermitian input).
+    """
+    a = np.array(matrix, dtype=np.complex128)
+    n = a.shape[0]
+    if a.shape != (n, n):
+        raise qsim.DimensionMismatchError("matrix must be square")
+    herm = float(np.max(np.abs(a - a.conj().T))) if n else 0.0
+    scale = max(1.0, float(np.max(np.abs(a))) if n else 0.0)
+    if herm > 1e-9 * scale:
+        raise ValueError(f"matrix is not Hermitian (deviation {herm:g})")
+    a = 0.5 * (a + a.conj().T)
+    if n < 2:
+        return a.real.diagonal().copy()
+    for _ in range(max_sweeps):
+        # Off-diagonal Frobenius mass, summed directly.  Subtracting the
+        # diagonal mass from the total cancels to ~sqrt(eps)*scale and can
+        # never reach tol.
+        off_part = a.copy()
+        np.fill_diagonal(off_part, 0.0)
+        off = math.sqrt(float(np.sum(np.abs(off_part) ** 2)))
+        if off <= tol * scale:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                r = abs(apq)
+                if r <= 1e-18 * scale:
+                    continue
+                phase = apq / r
+                tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
+                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                # A <- N^dag A N with N = [[c*u, s*u], [-s, c]] on the
+                # (p, q) plane; kills the pivot, keeps Hermiticity.
+                u = phase
+                row_p = a[p, :].copy()
+                row_q = a[q, :].copy()
+                a[p, :] = c * np.conj(u) * row_p - s * row_q
+                a[q, :] = s * np.conj(u) * row_p + c * row_q
+                col_p = a[:, p].copy()
+                col_q = a[:, q].copy()
+                a[:, p] = c * u * col_p - s * col_q
+                a[:, q] = s * u * col_p + c * col_q
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+    else:
+        raise RuntimeError("Jacobi eigensolver failed to converge")
+    vals = a.real.diagonal().copy()
+    vals.sort()
+    return vals
 
 
 def helstrom_value(m0, m1) -> float:

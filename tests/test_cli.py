@@ -457,6 +457,18 @@ def test_domain_errors_exit_2(capsysbinary):
     code, _, _ = run_main(capsysbinary,
                           ["bound", "numeric", "--bases", "haar:1"])
     assert code == 2          # haar family needs at least two bases
+    # sizes past a library gate are refused before anything of size 2^n
+    # is built (an adversary, a script battery, a state or a source)
+    for argv in (["ot", "check-sender", "--adversary", "all-plus",
+                  "--n", "20"],
+                 ["commit", "check-binding", "--adversary", "breidbart",
+                  "--n", "20"],
+                 ["ot", "check-receiver", "--n", "20"],
+                 ["verify", "relation", "--n", "40", "--state", "zero"],
+                 ["verify", "pa", "--n", "16"]):
+        code, out, err = run_main(capsysbinary, argv)
+        assert code == 2, argv
+        assert out == b"" and err.startswith(b"error:"), argv
 
 
 def test_sweep_config_errors_exit_2(tmp_path, capsysbinary):

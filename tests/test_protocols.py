@@ -212,8 +212,9 @@ def test_alpha_matches_oracle():
 
 
 def test_alpha_known_values():
-    assert protocols._EprAttack(all_plus(4)).min_entropy_alpha() == (
-        pytest.approx(0.0, abs=1e-12))
+    zero = protocols._EprAttack(all_plus(4)).min_entropy_alpha()
+    assert zero == pytest.approx(0.0, abs=1e-12)
+    assert math.copysign(1.0, zero) == 1.0      # +0.0, reported as 0.0
     assert protocols._EprAttack(store_one_diag(5)).min_entropy_alpha() == (
         pytest.approx(1.0, abs=1e-9))
     got = protocols._EprAttack(all_breidbart(3)).min_entropy_alpha()
@@ -280,6 +281,19 @@ def test_security_error_bound_shape():
     assert r[0] > r[1] > r[2]
     assert (protocols.security_error_bound(16.0, 2, 1)["raw"]
             > protocols.security_error_bound(16.0, 0, 1)["raw"])
+    # the closed-form smoothing is optimal: the bound is the objective at
+    # epsSmooth, and no point of a fine grid over the smoothing parameter
+    # beats it; alpha = 2 * (a_eff + 3) sweeps a_eff over [-8, 160]
+    ts = np.logspace(-14, 0, 2000)
+    cases = [(8.0, 0, 1), (12.0, 1, 1), (20.0, 2, 2)]
+    cases += [(2.0 * (a + 3.0), 0, 1) for a in np.linspace(-8.0, 160.0, 43)]
+    for alpha, q, l in cases:
+        chain = protocols.security_error_bound(alpha, q, l)
+        scale = 0.5 * 2.0 ** (-chain["exponent"] / 2.0)
+        t = chain["epsSmooth"]
+        assert scale / t + 4.0 * t == pytest.approx(chain["raw"], rel=1e-12)
+        grid = scale / ts + 4.0 * ts
+        assert grid.min() >= chain["raw"] * (1.0 - 1e-9), (alpha, q, l)
 
 
 # ------------------------------------------------------------------- binding

@@ -58,16 +58,20 @@ def test_standard_bases_mutually_unbiased():
 
 
 def test_jacobi_eigenvalues_match_lapack():
-    """The self-contained solver against numpy, over sizes and seeds."""
+    """The package spectra against the independent Jacobi solver, over sizes
+    and seeds, one matrix at a time and as one stack."""
     rng = np.random.default_rng(11)
     for dim in (1, 2, 3, 4, 6, 8, 12):
-        for _ in range(8):
-            g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            h = (g + g.conj().T) / 2.0
-            ours = qsim.hermitian_eigenvalues(h)
-            ref = np.linalg.eigvalsh(h)
+        g = rng.normal(size=(8, dim, dim)) + 1j * rng.normal(size=(8, dim, dim))
+        h = (g + np.swapaxes(g.conj(), -1, -2)) / 2.0
+        stacked = qsim.hermitian_eigenvalues(h)
+        assert stacked.shape == (8, dim)
+        for mat, vals in zip(h, stacked):
+            ours = qsim.hermitian_eigenvalues(mat)
+            ref = oracles.jacobi_eigenvalues(mat)
             assert np.all(np.diff(ours) >= -1e-12)
-            assert np.allclose(np.sort(ours), ref, atol=1e-12)
+            assert np.allclose(ours, ref, atol=1e-12)
+            assert np.allclose(vals, ref, atol=1e-12)
 
 
 def test_trace_norm_matches_svd():
@@ -77,6 +81,60 @@ def test_trace_norm_matches_svd():
         h = g + g.T
         assert qsim.trace_norm(h) == pytest.approx(oracles.trace_norm_svd(h),
                                                    abs=1e-11)
+
+
+def _kernel_cases(d: int, rng) -> np.ndarray:
+    """A (3, 5, d, d) stack of Hermitian matrices: random indefinite ones,
+    rank-one projectors of either sign, zeros, and (for d = 2) the
+    semidefinite and nearly-singular blocks the closed form splits on."""
+    g = rng.normal(size=(3, 5, d, d)) + 1j * rng.normal(size=(3, 5, d, d))
+    h = (g + np.swapaxes(g.conj(), -1, -2)) / 2.0
+    v = rng.normal(size=(2, d)) + 1j * rng.normal(size=(2, d))
+    h[1, 0] = np.outer(v[0], v[0].conj())                    # rank one, PSD
+    h[1, 1] = -0.3 * np.outer(v[1], v[1].conj())             # rank one, NSD
+    h[1, 2] = 0.0
+    h[1, 3] = g[1, 3] @ g[1, 3].conj().T                     # PSD
+    h[1, 4] = -h[1, 3]                                       # NSD
+    if d == 2:
+        h[2, 0] = np.diag([3e-8, -3e-8])                     # tiny, indefinite
+        h[2, 1] = np.diag([1.0, -1e-9])                      # barely indefinite
+        h[2, 2] = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-12]])  # nearly singular
+        h[2, 3] = np.array([[0.0, 2j], [-2j, 0.0]])          # zero trace
+        h[2, 4] = np.array([[1e-3, 0.0], [0.0, 0.0]])        # rank one, diagonal
+    return h
+
+
+def test_trace_norm_stacks_match_oracles():
+    """The batched kernel on (..., D, D) stacks, D = 1 to 4, against SVD and
+    against the Jacobi spectrum, matrix by matrix."""
+    rng = np.random.default_rng(23)
+    for d in (1, 2, 3, 4):
+        h = _kernel_cases(d, rng)
+        got = qsim.trace_norm(h)
+        assert got.shape == (3, 5)
+        for idx in np.ndindex(3, 5):
+            svd = oracles.trace_norm_svd(h[idx])
+            jac = float(np.abs(oracles.jacobi_eigenvalues(h[idx])).sum())
+            assert got[idx] == pytest.approx(svd, rel=1e-12, abs=1e-14), (d, idx)
+            assert got[idx] == pytest.approx(jac, rel=1e-12, abs=1e-14), (d, idx)
+            assert qsim.trace_norm(h[idx]) == got[idx]
+        assert np.array_equal(qsim._trace_norms(h), got)
+
+
+def test_public_spectral_entries_reject_non_hermitian():
+    bad = np.array([[0.5, 0.4], [0.3, 0.5]])
+    stack = np.stack([np.eye(2), bad])
+    for entry in (qsim.trace_norm, qsim.hermitian_eigenvalues):
+        for m in (bad, stack, np.array([[1j]])):
+            with pytest.raises(ValueError):
+                entry(m)
+        with pytest.raises(qsim.DimensionMismatchError):
+            entry(np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        qsim.trace_distance(bad, np.eye(2) / 2.0)
+    # deviations within the tolerance pass
+    near = np.array([[0.5, 0.4], [0.4 + 1e-12, 0.5]])
+    assert qsim.trace_norm(near) == pytest.approx(1.0, abs=1e-11)
 
 
 def test_trace_distance_properties():
