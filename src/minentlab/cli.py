@@ -355,6 +355,9 @@ def _random_ccq(n: int, q: int, seed: int) -> qsim.CqState:
     source distribution with one pure memory state per symbol."""
     _gate("privacy-amplification verifier handles", n,
           hashing.MAX_PA_SOURCE_BITS)
+    if not 0 <= q <= hashing.MAX_PA_MEMORY_QUBITS:
+        raise ValueError("privacy-amplification verifier handles 0 <= q <= "
+                         f"{hashing.MAX_PA_MEMORY_QUBITS}, got q = {q}")
     rng = np.random.default_rng(seed)
     probs = rng.random(2 ** n)
     probs /= probs.sum()

@@ -27,6 +27,10 @@ SLACK = 1e-9
 # Longest source verify_pa enumerates the hash family for; the command line
 # reads it too, before it builds a source.
 MAX_PA_SOURCE_BITS = 8
+# Largest adversary memory, in qubits, that verify_pa accepts; the command
+# line reads it too, before it builds a memory.  Each further qubit makes
+# the 2^q x 2^q trace norms about four times slower.
+MAX_PA_MEMORY_QUBITS = 6
 # verify_pa accumulates the branch operators of this many (hash, input,
 # operator entry) triples at a time, which caps its working memory at a few
 # megabytes whatever n, l and the memory size are.
@@ -251,9 +255,12 @@ def verify_pa(cq: qsim.CqState, l: int, eps: float) -> PrivacyAmpReport:
         raise ValueError("source too long for exact family enumeration "
                          f"(n <= {MAX_PA_SOURCE_BITS})")
     l = int(l)
-    if l > n:
-        raise ValueError("output longer than input")
+    if not 1 <= l <= n:
+        raise ValueError(f"need 1 <= l <= n = {n}, got l = {l}")
     q = _quantum_bit_count(cq.quantum_dims)
+    if q > MAX_PA_MEMORY_QUBITS:
+        raise ValueError("memory too large for exact verification "
+                         f"(q <= {MAX_PA_MEMORY_QUBITS})")
     dim = int(np.prod(cq.quantum_dims))
 
     u_values = sorted({k[1] for k in keys}, key=repr)

@@ -14,6 +14,13 @@ applies any isometry (up to two ancilla qubits) and measures all but q
 qubits before the basis announcement.  After that, everything is a finite
 ccq-state which is computed exactly; no sampling enters any security figure.
 
+Every adversary figure reads one object per announced basis string, the
+attack tableau: the post-measurement amplitudes indexed by the sender's two
+basis substrings, the record and the memory, with their masses and memory
+operators.  `_EprAttack.tableaux` is the only loop over basis strings; the
+exact min-entropy, the sender distance and the binding operators each make
+one pass over it.
+
 The family-averaged distance over both announced hashes is evaluated with a
 Walsh-Hadamard character identity over the Toeplitz row family, which turns
 an infeasible enumeration over hash pairs into a transform of the
@@ -23,10 +30,11 @@ at small n.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy.linalg import hadamard
@@ -62,6 +70,18 @@ def _basis_matrix(spec) -> np.ndarray:
     arr = np.asarray(spec, dtype=np.complex128)
     if arr.shape != (2, 2):
         raise ValueError("explicit basis must be a 2x2 matrix")
+    return arr
+
+
+def _hadamard_wires(arr: np.ndarray, theta: Sequence[int],
+                    offsets: Sequence[int] = (0,)) -> np.ndarray:
+    """Rotate the [+,x]_theta measurement to the computational one: apply H
+    to axis offset + i of arr, for each offset, wherever theta[i] = 1.  H is
+    real and symmetric, so it serves row and column axes alike."""
+    for i, t in enumerate(theta):
+        if t:
+            for offset in offsets:
+                arr = qsim._contract_axis(arr, _H2, offset + i)
     return arr
 
 
@@ -316,17 +336,13 @@ def _rotated_side_ops(state, n: int, side_dim: int,
     Measures all n qubits, qubit i in basis [+,x]_{basis_bits[i]}; returns
     array (2^n, side_dim, side_dim).
     """
-    rots = (np.eye(2), _H2)
     if isinstance(state, qsim.StateVector):
-        amp = state.amplitudes.reshape((2,) * n + (side_dim,))
-        for i, b in enumerate(basis_bits):
-            amp = qsim._contract_axis(amp, rots[b].conj().T, i)
+        amp = _hadamard_wires(state.amplitudes.reshape((2,) * n + (side_dim,)),
+                              basis_bits)
         amp = amp.reshape(2 ** n, side_dim)
         return np.einsum("xi,xj->xij", amp, amp.conj())
     rho = state.matrix.reshape((2,) * n + (side_dim,) + (2,) * n + (side_dim,))
-    for i, b in enumerate(basis_bits):
-        rho = qsim._contract_axis(rho, rots[b].conj().T, i)
-        rho = qsim._contract_axis(rho, rots[b].T, n + 1 + i)
+    rho = _hadamard_wires(rho, basis_bits, (0, n + 1))
     rho = rho.reshape(2 ** n, side_dim, 2 ** n, side_dim)
     return np.einsum("xixj->xij", rho)
 
@@ -418,6 +434,9 @@ class BoundedAdversary:
     unitary: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("an adversary needs n >= 1 qubits, "
+                             f"got n = {self.n}")
         wires = self.n + self.ancillas
         if any(not 0 <= w < wires for w in self.kept):
             raise ValueError("kept wires out of range")
@@ -492,9 +511,7 @@ def product_adversary(name: str, n: int, measure: Mapping[int, object],
             factors.append(np.eye(2, dtype=np.complex128))
         else:
             factors.append(_basis_matrix(measure[i]).conj().T)
-    u = factors[0]
-    for f in factors[1:]:
-        u = np.kron(u, f)
+    u = functools.reduce(np.kron, factors, np.ones((1, 1)))
     return BoundedAdversary(name=name, n=n, kept=kept, ancillas=0, unitary=u)
 
 
@@ -508,53 +525,82 @@ def _guard_attack_size(adversary: BoundedAdversary) -> None:
         raise ValueError("at most 2 ancilla qubits")
 
 
+@dataclass(frozen=True)
+class _Tableau:
+    """The adversary's view after one basis string theta is announced.
+
+    ``a`` holds the amplitudes indexed (x0, x1, record, memory): x_b is the
+    sender's substring on the positions with theta_i = b, first position
+    most significant.  ``p`` is the (x0, x1, record) mass, ``w`` the memory
+    operators |a><a| per (x0, x1, record), and ``codes[b][x]`` the x_b index
+    of the full n-bit string x.
+    """
+
+    theta: tuple[int, ...]
+    a: np.ndarray
+    p: np.ndarray
+    codes: tuple[np.ndarray, np.ndarray]
+
+    @functools.cached_property
+    def w(self) -> np.ndarray:
+        return np.einsum("abki,abkj->abkij", self.a, self.a.conj())
+
+    def heavy(self, tau: float) -> np.ndarray:
+        """Boolean (2^m1, record) mask of atoms whose diagonal-subset string
+        is heavy: P(x1 | theta, record) >= tau.  Records with zero mass are
+        left unmasked (they never contribute weight)."""
+        p_x1k = self.p.sum(axis=0)
+        p_k = p_x1k.sum(axis=0)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            cond = np.where(p_k > 0.0, p_x1k / np.where(p_k > 0.0, p_k, 1.0),
+                            0.0)
+        return cond >= tau - 1e-12
+
+
 class _EprAttack:
-    """Exact post-announcement amplitudes for one bounded adversary.
+    """Exact post-announcement view of one bounded adversary.
 
     In the purified protocol the sender holds halves of n EPR pairs, so the
     adversary's isometry V acting on the transmitted halves gives the joint
     amplitude matrix V^T / 2^(n/2) between the sender wires and the
-    adversary register.  For a basis string theta this object returns the
-    amplitude tensor indexed by (sender outcome, measured-wire outcome,
-    kept-register component), from which every security figure follows.
+    adversary register.  `tableaux` rotates the sender wires to each basis
+    string in turn and yields its `_Tableau`, from which every security
+    figure follows.
     """
 
     def __init__(self, adversary: BoundedAdversary):
-        self.adv = adversary
         self.n = adversary.n
         wires = adversary.n + adversary.ancillas
-        self.measured = tuple(w for w in range(wires) if w not in adversary.kept)
-        self.k_dim = 2 ** len(self.measured)
+        measured = [w for w in range(wires) if w not in adversary.kept]
+        self.k_dim = 2 ** len(measured)
         self.mem_dim = 2 ** adversary.q
         v = adversary.isometry()
         self.base = (v.T / 2 ** (self.n / 2.0)).reshape(
             (2,) * self.n + (2,) * wires)
-        self.wire_axes = tuple(self.n + w for w in range(wires))
+        # adversary axes of base in (record, memory) order
+        self.register = tuple(self.n + w
+                              for w in measured + list(adversary.kept))
 
-    def amplitudes(self, theta: Sequence[int]) -> np.ndarray:
-        """Amplitude tensor (2^n, k_dim, mem_dim) after the sender measures
-        her halves in bases theta and the adversary's measured wires are
-        read out in the computational basis."""
-        arr = self.base
-        for i, t in enumerate(theta):
-            if t:
-                arr = qsim._contract_axis(arr, _H2, i)
-        order = (tuple(range(self.n))
-                 + tuple(self.n + w for w in self.measured)
-                 + tuple(self.n + w for w in self.adv.kept))
-        arr = np.transpose(arr, order)
-        return np.ascontiguousarray(arr).reshape(2 ** self.n, self.k_dim,
-                                                 self.mem_dim)
+    def tableaux(self) -> Iterator[_Tableau]:
+        """One tableau per basis string, theta read as an n-bit integer with
+        the first position most significant, in increasing order."""
+        n = self.n
+        for ti in range(2 ** n):
+            theta = tuple((ti >> (n - 1 - i)) & 1 for i in range(n))
+            i0, i1 = _subset_indices(theta, 0), _subset_indices(theta, 1)
+            arr = np.transpose(_hadamard_wires(self.base, theta),
+                               tuple(i0) + tuple(i1) + self.register)
+            a = np.ascontiguousarray(arr).reshape(
+                2 ** len(i0), 2 ** len(i1), self.k_dim, self.mem_dim)
+            yield _Tableau(theta, a, (np.abs(a) ** 2).sum(axis=3),
+                           (_subset_codes(n, i0), _subset_codes(n, i1)))
 
     def min_entropy_alpha(self) -> float:
         """Exact min-entropy of the sender string given theta and the
         adversary's pre-announcement measurement record."""
         worst = 0.0
-        for ti in range(2 ** self.n):
-            theta = [(ti >> (self.n - 1 - i)) & 1 for i in range(self.n)]
-            amp = self.amplitudes(theta)
-            p = np.abs(amp) ** 2
-            p = p.sum(axis=2)                      # (2^n, k_dim)
+        for tab in self.tableaux():
+            p = tab.p.reshape(-1, self.k_dim)
             pk = p.sum(axis=0)
             live = pk > 1e-300
             if not np.any(live):
@@ -606,31 +652,6 @@ class SenderSecurityReport:
                 "trivial": self.trivial, "holds": self.holds}
 
 
-def _split_amplitudes(attack: _EprAttack, theta: Sequence[int]):
-    """Amplitudes reindexed as (x0, x1, record, memory) for one theta."""
-    n = attack.n
-    amp = attack.amplitudes(theta)
-    i0 = _subset_indices(theta, 0)
-    i1 = _subset_indices(theta, 1)
-    a = amp.reshape((2,) * n + (attack.k_dim, attack.mem_dim))
-    perm = tuple(i0) + tuple(i1) + (n, n + 1)
-    a = np.ascontiguousarray(np.transpose(a, perm))
-    return a.reshape(2 ** len(i0), 2 ** len(i1), attack.k_dim,
-                     attack.mem_dim), len(i0), len(i1)
-
-
-def _high_subset_mask(a: np.ndarray, tau: float) -> np.ndarray:
-    """Boolean (2^m1, k_dim) mask of atoms whose diagonal-subset string is
-    heavy: P(x1 | theta, record) >= tau.  Records with zero mass are left
-    unmasked (they never contribute weight)."""
-    p = (np.abs(a) ** 2).sum(axis=3)
-    p_x1k = p.sum(axis=0)
-    p_k = p_x1k.sum(axis=0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cond = np.where(p_k > 0.0, p_x1k / np.where(p_k > 0.0, p_k, 1.0), 0.0)
-    return cond >= tau - 1e-12
-
-
 def _family_average_distance(attack: _EprAttack, tau: float
                              ) -> tuple[float, float]:
     """Family-averaged real-vs-ideal distance, exact, for one-bit hashes.
@@ -642,20 +663,15 @@ def _family_average_distance(attack: _EprAttack, tau: float
     character family, so averaging the branch distances over the family is
     the same as averaging transform magnitudes over frequencies.
     """
-    n = attack.n
     total = 0.0
     prob_c1 = 0.0
-    theta_prior = 2.0 ** (-n)
-    for ti in range(2 ** n):
-        theta = [(ti >> (n - 1 - i)) & 1 for i in range(n)]
-        a, m0, m1 = _split_amplitudes(attack, theta)
-        mask1 = _high_subset_mask(a, tau)
-        w = np.einsum("abki,abkj->abkij", a, a.conj())
-        atom_mass = np.einsum("abkii->bk", w).real
-        prob_c1 += theta_prior * float(atom_mass[mask1].sum())
-        h0 = hadamard(2 ** m0).astype(float)
-        h1 = hadamard(2 ** m1).astype(float)
-        freq_prior = 2.0 ** (-n)
+    theta_prior = freq_prior = 2.0 ** (-attack.n)
+    for tab in attack.tableaux():
+        mask1 = tab.heavy(tau)
+        w = tab.w
+        prob_c1 += theta_prior * float(tab.p.sum(axis=0)[mask1].sum())
+        h0 = hadamard(w.shape[0]).astype(float)
+        h1 = hadamard(w.shape[1]).astype(float)
         for uniform_axis, mask in ((0, mask1), (1, ~mask1)):
             wm = w * mask[None, :, :, None, None]
             t = np.tensordot(h0, wm, axes=(1, 0))       # (a0, x1, k, i, j)
@@ -881,41 +897,25 @@ def check_binding(committer: BoundedAdversary) -> BindingReport:
     tau = 2.0 ** (-alpha / 2.0)
     k_dim, d = attack.k_dim, attack.mem_dim
     theta_prior = 2.0 ** (-n)
-    size = 2 ** n
 
-    # basis-averaged opening operators: [open target t][record, announced x']
-    cond = {0: np.zeros((k_dim, size, d, d), complex),
-            1: np.zeros((k_dim, size, d, d), complex)}
-    unc = {0: np.zeros((k_dim, size, d, d), complex),
-           1: np.zeros((k_dim, size, d, d), complex)}
+    # basis-averaged opening operators [open target t, record, announced x']
+    cond = np.zeros((2, k_dim, 2 ** n, d, d), complex)
+    unc = np.zeros((2, k_dim, 2 ** n, d, d), complex)
     prob_bb = np.zeros(2)
 
-    for ti in range(size):
-        theta = [(ti >> (n - 1 - i)) & 1 for i in range(n)]
-        a, _, _ = _split_amplitudes(attack, theta)
-        w = np.einsum("abki,abkj->abkij", a, a.conj())
-        mask1 = _high_subset_mask(a, tau)
-        weights = np.einsum("abkii->abk", w).real
-        prob_bb[1] += theta_prior * float(weights.sum(axis=0)[mask1].sum())
-        prob_bb[0] += theta_prior * float(weights.sum(axis=0)[~mask1].sum())
-
-        # pack x' into substring indices matching the (x0, x1) axes
-        w0map = _subset_codes(n, _subset_indices(theta, 0))
-        w1map = _subset_codes(n, _subset_indices(theta, 1))
-
-        wm1 = w * mask1[None, :, :, None, None]
-        wm0 = w * (~mask1)[None, :, :, None, None]
-        # bound bit 1 -> hard target is subset 0: group over x0
-        g_t0 = wm1.sum(axis=1)                     # (2^m0, k, d, d)
-        cond[0] += theta_prior * g_t0[w0map].transpose(1, 0, 2, 3)
-        # bound bit 0 -> hard target is subset 1: group over x1
-        g_t1 = wm0.sum(axis=0)                     # (2^m1, k, d, d)
-        cond[1] += theta_prior * g_t1[w1map].transpose(1, 0, 2, 3)
-        # unconditional openings ignore the split bit
-        u_t0 = w.sum(axis=1)
-        unc[0] += theta_prior * u_t0[w0map].transpose(1, 0, 2, 3)
-        u_t1 = w.sum(axis=0)
-        unc[1] += theta_prior * u_t1[w1map].transpose(1, 0, 2, 3)
+    for tab in attack.tableaux():
+        w = tab.w
+        mask1 = tab.heavy(tau)
+        mass = tab.p.sum(axis=0)
+        # bound bit 1 - t leaves subset t as the hard target: group by x_t
+        # and unpack the group index to the announced x'; unconditional
+        # openings ignore the split bit
+        for t, keep in ((0, mask1), (1, ~mask1)):
+            prob_bb[1 - t] += theta_prior * float(mass[keep].sum())
+            for acc, ops in ((cond[t], w * keep[None, :, :, None, None]),
+                             (unc[t], w)):
+                acc += theta_prior * ops.sum(axis=1 - t)[
+                    tab.codes[t]].transpose(1, 0, 2, 3)
 
     per_k_hi = np.zeros((2, k_dim))
     per_k_lo = np.zeros((2, k_dim))

@@ -335,9 +335,7 @@ def _contract_axis(tensor: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray
     return np.moveaxis(t, 0, axis)
 
 
-def measure(state, bases: Mapping[int, Basis] | Sequence[Basis],
-            subsystems: Sequence[int] | None = None,
-            return_branches: bool = False):
+def measure(state, bases: Mapping[int, Basis], return_branches: bool = False):
     """Projective measurement of selected subsystems in product bases.
 
     Parameters
@@ -345,11 +343,7 @@ def measure(state, bases: Mapping[int, Basis] | Sequence[Basis],
     state:
         StateVector or DensityOperator.
     bases:
-        Either a mapping {subsystem index: Basis} or a sequence of Basis
-        objects aligned with ``subsystems``.
-    subsystems:
-        Indices to measure.  Defaults to all subsystems when ``bases`` is a
-        sequence covering the full register.
+        Mapping {subsystem index: Basis} of the subsystems to measure.
     return_branches:
         When true, also return the sub-normalized branch operators
         P_x rho P_x (on the full register) for each outcome.
@@ -362,24 +356,8 @@ def measure(state, bases: Mapping[int, Basis] | Sequence[Basis],
     ``return_branches`` is set).  Zero-probability outcomes are kept in the
     probability dict but omitted from the branch dict.
     """
-    if isinstance(bases, Mapping):
-        basis_for = {int(i): b for i, b in bases.items()}
-        targets = sorted(basis_for)
-        if subsystems is not None and sorted(int(i) for i in subsystems) != targets:
-            raise ValueError("subsystems argument disagrees with bases mapping")
-    else:
-        seq = list(bases)
-        if subsystems is None:
-            if isinstance(state, (StateVector, DensityOperator)) and len(seq) == len(state.dims):
-                subsystems = range(len(seq))
-            else:
-                raise ValueError("subsystems required when bases is a partial sequence")
-        idx = [int(i) for i in subsystems]
-        if len(seq) != len(idx) or len(set(idx)) != len(idx):
-            raise DimensionMismatchError("one basis required per measured subsystem")
-        basis_for = dict(zip(idx, seq))
-        targets = sorted(idx)
-
+    basis_for = {int(i): b for i, b in bases.items()}
+    targets = sorted(basis_for)
     if not isinstance(state, (StateVector, DensityOperator)):
         raise TypeError("state must be a StateVector or DensityOperator")
     dims = state.dims

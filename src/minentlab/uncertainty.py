@@ -5,8 +5,10 @@ merit is h = min over pure states of the average Shannon entropy of the
 outcome distribution, the average running over a uniformly random basis
 choice.  Closed forms are provided for two mutually unbiased qubit bases
 (1/2), the three mutually unbiased qubit bases (2/3) and for the full
-Haar-averaged family (sum_{i=2..d} 1/i / ln 2); a multi-start projected
-gradient descent certifies bounds for arbitrary finite families.
+Haar-averaged family (sum_{i=2..d} 1/i / ln 2).  For any other finite
+family a multi-start projected gradient descent estimates h: the value it
+returns is the objective at its best iterate, an upper estimate of the
+minimum, not a certified lower bound.
 
 The n-fold consequence: measuring n independent systems in uniformly random
 per-system bases yields a string whose smooth min-entropy given the basis
@@ -164,10 +166,11 @@ def numeric_average_bound(bases: Sequence[qsim.Basis], tol: float = 1e-10,
 
 @dataclass(frozen=True)
 class BasisSet:
-    """A family of bases with a certified average-entropy bound h.
+    """A family of bases with an average-entropy figure h.
 
-    ``h_provenance`` records where the bound came from: "closed-form",
-    "numeric" or "supplied".
+    ``h_provenance`` records where h came from: "closed-form" (the exact
+    minimum), "numeric" (gradient descent; an upper estimate of the minimum,
+    so not certified) or "supplied".
     """
 
     bases: tuple[qsim.Basis, ...]

@@ -465,7 +465,22 @@ def test_domain_errors_exit_2(capsysbinary):
                   "--n", "20"],
                  ["ot", "check-receiver", "--n", "20"],
                  ["verify", "relation", "--n", "40", "--state", "zero"],
-                 ["verify", "pa", "--n", "16"]):
+                 ["verify", "pa", "--n", "16"],
+                 ["verify", "pa", "--n", "2", "--q", "30"]):
+        code, out, err = run_main(capsysbinary, argv)
+        assert code == 2, argv
+        assert out == b"" and err.startswith(b"error:"), argv
+    # values outside a checker's domain: a negative memory, an empty output,
+    # an adversary without qubits
+    for argv in (["verify", "pa", "--q", "-1"],
+                 ["verify", "pa", "--l", "0"],
+                 ["ot", "check-sender", "--adversary", "all-plus", "--n", "0"],
+                 ["ot", "check-sender", "--adversary", "all-plus",
+                  "--n", "-1"],
+                 ["commit", "check-binding", "--adversary", "all-plus",
+                  "--n", "0"],
+                 ["commit", "check-binding", "--adversary", "all-plus",
+                  "--n", "-1"]):
         code, out, err = run_main(capsysbinary, argv)
         assert code == 2, argv
         assert out == b"" and err.startswith(b"error:"), argv

@@ -222,5 +222,13 @@ def test_verify_pa_input_errors():
     with pytest.raises(ValueError):
         hashing.verify_pa(uniform_classical_cq(3), 4, 0.0)  # l > n
     with pytest.raises(ValueError):
+        hashing.verify_pa(uniform_classical_cq(3), 0, 0.0)  # l < 1
+    q = hashing.MAX_PA_MEMORY_QUBITS + 1
+    memory = np.zeros((2 ** q, 2 ** q))
+    memory[0, 0] = 1.0
+    wide = qsim.CqState((2,) * q, {((0,), 0): memory})
+    with pytest.raises(ValueError):
+        hashing.verify_pa(wide, 1, 0.0)
+    with pytest.raises(ValueError):
         hashing.verify_pa(
             qsim.CqState((3,), {((0,), 0): np.eye(3) / 3.0}), 1, 0.0)

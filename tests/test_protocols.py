@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -195,9 +196,50 @@ def test_product_adversary_validation():
     comp, diag, _ = qsim.standard_bases_qubit()
     adv = product_adversary("mixed", 2, {0: comp, 1: diag.vectors})
     assert adv.q == 0
+    # an adversary needs a received qubit, whichever way it is built
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            all_plus(n)
+        with pytest.raises(ValueError):
+            BoundedAdversary.from_json({"n": n})
 
 
 # --------------------------------------------- dual-route alpha and distance
+
+def test_tableau_index_convention_matches_cq_table():
+    # for every basis string, a[codes[0][x], codes[1][x], k] is the memory
+    # amplitude of record k when x was sent, up to the EPR normalization
+    # 2^(-n/2); p and w are its mass and memory operator
+    rng = np.random.default_rng(5)
+    u = np.linalg.qr(rng.normal(size=(16, 16))
+                     + 1j * rng.normal(size=(16, 16)))[0]
+    cases = [all_plus(4), store_one_diag(4),
+             BoundedAdversary("haar", 3, kept=(0,), ancillas=1, unitary=u)]
+    for adv in cases:
+        n = adv.n
+        scale = 2.0 ** (n / 2.0)
+        k_count, mem_dim, table = oracles.adversary_cq_table(adv)
+        tableaux = list(protocols._EprAttack(adv).tableaux())
+        strings = list(itertools.product((0, 1), repeat=n))
+        assert [tab.theta for tab in tableaux] == strings, adv.name
+        for tab in tableaux:
+            m1 = sum(tab.theta)
+            assert tab.a.shape == (2 ** (n - m1), 2 ** m1, k_count, mem_dim)
+            cells = set()
+            for xi, x in enumerate(strings):
+                want = np.zeros((k_count, mem_dim), complex)
+                for k, amp in table[(x, tab.theta)]:
+                    want[k] = amp
+                cell = (tab.codes[0][xi], tab.codes[1][xi])
+                cells.add(cell)
+                assert np.allclose(tab.a[cell] * scale, want, atol=1e-12)
+                assert np.allclose(tab.p[cell] * scale ** 2,
+                                   (np.abs(want) ** 2).sum(axis=1), atol=1e-12)
+                assert np.allclose(tab.w[cell] * scale ** 2,
+                                   np.einsum("ki,kj->kij", want, want.conj()),
+                                   atol=1e-12)
+            assert len(cells) == 2 ** n      # (x0, x1) covers every x once
+
 
 def test_alpha_matches_oracle():
     cases = [all_plus(4), store_one_diag(4), all_breidbart(3)]
