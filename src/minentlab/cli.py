@@ -331,6 +331,7 @@ def cmd_verify(args) -> tuple[dict, list[dict]]:
     elif args.kind == "pa":
         config.update({"n": args.n, "l": args.l, "q": args.q,
                        "eps": args.eps, "seed": args.seed})
+        hashing.check_pa_size(args.n, args.l, args.q, 1)
         cq = _random_ccq(args.n, args.q, args.seed)
         rep = hashing.verify_pa(cq, args.l, args.eps)
         checks.append(_check("privacyAmp", value=rep.exact_distance,
@@ -353,11 +354,6 @@ def cmd_verify(args) -> tuple[dict, list[dict]]:
 def _random_ccq(n: int, q: int, seed: int) -> qsim.CqState:
     """Random ccq-state for the privacy-amplification verifier: a random
     source distribution with one pure memory state per symbol."""
-    _gate("privacy-amplification verifier handles", n,
-          hashing.MAX_PA_SOURCE_BITS)
-    if not 0 <= q <= hashing.MAX_PA_MEMORY_QUBITS:
-        raise ValueError("privacy-amplification verifier handles 0 <= q <= "
-                         f"{hashing.MAX_PA_MEMORY_QUBITS}, got q = {q}")
     rng = np.random.default_rng(seed)
     probs = rng.random(2 ** n)
     probs /= probs.sum()

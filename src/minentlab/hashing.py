@@ -1,21 +1,20 @@
 """Two-universal Toeplitz hashing over GF(2) and privacy amplification.
 
-A hash from n bits to l bits is a Toeplitz matrix determined by n + l - 1
-parameter bits (first row plus the rest of the first column).  The family of
-all parameter choices is two-universal, which is what the privacy
-amplification bound needs: extracting l bits from a source with conditional
-smooth min-entropy H against side information of q qubits leaves a state
-within (1/2) * 2^(-(H - q - l)/2) + 2*eps of uniform-and-independent.
-
-verify_pa computes the family-averaged trace distance exactly (full
-enumeration over all 2^(n+l-1) hashes), so it is only usable for
-n <= MAX_PA_SOURCE_BITS = 8.
+An l x n Toeplitz matrix is fixed by its n + l - 1 bit diagonal string g:
+first_row[j] is bit n-1-j of g and first_col[i] is bit n-1+i.  Row i is then
+bits i .. i+n-1 of g, a mask over the input read most significant bit first,
+and output bit i is the parity of input & row.  The family of all strings is
+two-universal: extracting l bits from a source with smooth min-entropy H
+given q qubits of side information leaves a state within
+(1/2) * 2^(-(H - q - l)/2) + 2*eps of uniform-and-independent, which
+verify_pa checks exactly by enumerating the family.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -24,27 +23,34 @@ from . import qsim
 from .distrib import JointDistribution, smooth_min_entropy_conditional
 
 SLACK = 1e-9
-# Longest source verify_pa enumerates the hash family for; the command line
-# reads it too, before it builds a source.
+# Longest source verify_pa enumerates the hash family for; check_pa_size
+# applies it and the next two gates, also on the command line.
 MAX_PA_SOURCE_BITS = 8
-# Largest adversary memory, in qubits, that verify_pa accepts; the command
-# line reads it too, before it builds a memory.  Each further qubit makes
-# the 2^q x 2^q trace norms about four times slower.
+# Largest adversary memory, in qubits, that verify_pa accepts.  Each further
+# qubit makes the 2^q x 2^q trace norms about four times slower.
 MAX_PA_MEMORY_QUBITS = 6
+# Most operator entries, 2^(n+l-1) hashes * 2^n inputs * side symbols * 4^q,
+# that verify_pa accumulates; n=8, l=8, q=6 would take 2^12 times as many.
+MAX_PA_WORK = 1 << 23
 # verify_pa accumulates the branch operators of this many (hash, input,
 # operator entry) triples at a time, which caps its working memory at a few
 # megabytes whatever n, l and the memory size are.
 _PA_BLOCK_ENTRIES = 1 << 17
 
 
-def _bits(value, n: int) -> np.ndarray:
-    if isinstance(value, (int, np.integer)):
-        return np.array([(int(value) >> (n - 1 - i)) & 1 for i in range(n)],
-                        dtype=np.uint8)
-    arr = np.asarray(value, dtype=np.uint8)
-    if arr.shape != (n,) or arr.max(initial=0) > 1:
-        raise ValueError(f"expected {n} bits, got {value!r}")
-    return arr
+def _row(g, n: int, i):
+    """Row i for diagonal string g, as Python ints or broadcast arrays."""
+    return (g >> i) & ((1 << n) - 1)
+
+
+def _output_tables(rows: np.ndarray, m: int) -> np.ndarray:
+    """Integer outputs of all 2^m inputs for (..., l) stacks of m-bit rows,
+    output bit i at bit l-1-i."""
+    x = np.arange(2 ** m)
+    out = np.zeros(rows.shape[:-1] + x.shape, dtype=np.int64)
+    for i in range(rows.shape[-1]):
+        out = (out << 1) | (np.bitwise_count(rows[..., i, None] & x) & 1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -53,7 +59,7 @@ class ToeplitzHash:
 
     ``first_row`` has n bits, ``first_col`` has l bits, and they share the
     top-left entry; the free parameters are the n + l - 1 bits
-    first_row ++ first_col[1:].
+    first_row ++ first_col[1:], read as the module docstring's string g.
     """
 
     input_bits: int
@@ -73,13 +79,12 @@ class ToeplitzHash:
         object.__setattr__(self, "first_row", row)
         object.__setattr__(self, "first_col", col)
 
-    def matrix(self) -> np.ndarray:
-        n, l = self.input_bits, self.output_bits
-        t = np.empty((l, n), dtype=np.uint8)
-        for i in range(l):
-            for j in range(n):
-                t[i, j] = self.first_col[i - j] if i >= j else self.first_row[j - i]
-        return t
+    @cached_property
+    def rows(self) -> tuple[int, ...]:
+        """The l matrix rows as n-bit masks, column j at bit n-1-j."""
+        g = int("".join(map(str, self.first_col[:0:-1] + self.first_row)), 2)
+        return tuple(_row(g, self.input_bits, i)
+                     for i in range(self.output_bits))
 
     @property
     def parameter_bits(self) -> tuple[int, ...]:
@@ -130,20 +135,23 @@ def sample_hash(n: int, l: int, rng: np.random.Generator) -> ToeplitzHash:
 def apply_hash(h: ToeplitzHash, x) -> tuple[int, ...]:
     """Hash an input bit string (sequence of bits or integer).
 
-    Inputs shorter than ``input_bits`` are zero-padded on the right, so only
-    the first ``len(x)`` columns of the matrix act; longer inputs are
+    An integer must lie in [0, 2^n), its most significant bit first.
+    Sequences shorter than ``input_bits`` are zero-padded on the right, so
+    only the first ``len(x)`` columns of the matrix act; longer inputs are
     rejected.
     """
+    n = h.input_bits
     if isinstance(x, (int, np.integer)):
-        xb = _bits(x, h.input_bits)
+        value = int(x)
+        if not 0 <= value < 1 << n:
+            raise ValueError(f"integer input must lie in [0, 2^{n})")
     else:
         xb = np.asarray(x, dtype=np.uint8)
-        if xb.ndim != 1 or xb.size > h.input_bits or xb.max(initial=0) > 1:
-            raise ValueError(f"input must be at most {h.input_bits} bits")
-        if xb.size < h.input_bits:
-            xb = np.concatenate([xb, np.zeros(h.input_bits - xb.size, dtype=np.uint8)])
-    out = (h.matrix() @ xb.astype(np.int64)) & 1
-    return tuple(int(b) for b in out)
+        bits = xb.tolist()
+        if xb.ndim != 1 or len(bits) > n or max(bits, default=0) > 1:
+            raise ValueError(f"input must be at most {n} bits")
+        value = int("0" + "".join(map(str, bits)), 2) << (n - len(bits))
+    return tuple((value & row).bit_count() & 1 for row in h.rows)
 
 
 def apply_hash_fft(h: ToeplitzHash, x: Sequence[int]) -> tuple[int, ...]:
@@ -172,17 +180,14 @@ def apply_hash_fft(h: ToeplitzHash, x: Sequence[int]) -> tuple[int, ...]:
 
 
 def enumerate_hash_family(n: int, l: int) -> list[ToeplitzHash]:
-    """All 2^(n+l-1) members of the Toeplitz family, fixed order."""
+    """All 2^(n+l-1) members of the Toeplitz family; member g has diagonal
+    string g."""
     n, l = int(n), int(l)
     if n + l - 1 > 20:
         raise ValueError("family too large to enumerate")
-    out = []
-    for params in range(2 ** (n + l - 1)):
-        bits = [(params >> (n + l - 2 - i)) & 1 for i in range(n + l - 1)]
-        row = bits[:n]
-        col = [row[0]] + bits[n:]
-        out.append(ToeplitzHash(row, col))
-    return out
+    return [ToeplitzHash([(g >> (n - 1 - j)) & 1 for j in range(n)],
+                         [(g >> (n - 1 + i)) & 1 for i in range(l)])
+            for g in range(2 ** (n + l - 1))]
 
 
 def hash_output_table(h: ToeplitzHash, m: int | None = None) -> np.ndarray:
@@ -191,12 +196,7 @@ def hash_output_table(h: ToeplitzHash, m: int | None = None) -> np.ndarray:
     m = n if m is None else int(m)
     if m > n:
         raise ValueError("m exceeds input_bits")
-    t = h.matrix()[:, :m].astype(np.int64)
-    xs = np.arange(2 ** m)
-    bits = (xs[:, None] >> (m - 1 - np.arange(m))[None, :]) & 1
-    out_bits = (bits @ t.T) & 1
-    weights = 1 << (h.output_bits - 1 - np.arange(h.output_bits))
-    return out_bits @ weights
+    return _output_tables(np.array([row >> (n - m) for row in h.rows]), m)
 
 
 def pa_bound(h_smooth: float, q: int, l: int, eps: float) -> float:
@@ -234,6 +234,18 @@ def _quantum_bit_count(dims: Sequence[int]) -> int:
     return q
 
 
+def check_pa_size(n: int, l: int, q: int, symbols: int) -> None:
+    """Refuse sizes verify_pa cannot enumerate; symbols counts the u's."""
+    if n > MAX_PA_SOURCE_BITS:
+        raise ValueError(f"source too long (n <= {MAX_PA_SOURCE_BITS})")
+    if not 1 <= l <= n:
+        raise ValueError(f"need 1 <= l <= n = {n}, got l = {l}")
+    if not 0 <= q <= MAX_PA_MEMORY_QUBITS:
+        raise ValueError(f"need 0 <= q <= {MAX_PA_MEMORY_QUBITS}, got q = {q}")
+    if 2 ** (2 * n + l - 1 + 2 * q) * symbols > MAX_PA_WORK:
+        raise ValueError(f"hash family too large (work <= {MAX_PA_WORK})")
+
+
 def verify_pa(cq: qsim.CqState, l: int, eps: float) -> PrivacyAmpReport:
     """Exact check of the privacy amplification bound on a ccq-state.
 
@@ -241,8 +253,8 @@ def verify_pa(cq: qsim.CqState, l: int, eps: float) -> PrivacyAmpReport:
     any hashable side-information symbol; the quantum register is the
     adversary memory E.  The reported distance is the exact trace distance
     between (F(X), F, U, E) and (uniform, F, U, E) for a uniformly random
-    Toeplitz hash F, computed by enumerating the full family.  Keep the
-    source at n <= 8 bits.
+    Toeplitz hash F, computed by enumerating the full family, so the sizes
+    must pass check_pa_size.
     """
     keys = list(cq.branches)
     if not keys:
@@ -251,19 +263,12 @@ def verify_pa(cq: qsim.CqState, l: int, eps: float) -> PrivacyAmpReport:
     if not (isinstance(first, tuple) and len(first) == 2 and isinstance(first[0], tuple)):
         raise ValueError("branches must be keyed by (x bits, u)")
     n = len(first[0])
-    if n > MAX_PA_SOURCE_BITS:
-        raise ValueError("source too long for exact family enumeration "
-                         f"(n <= {MAX_PA_SOURCE_BITS})")
-    l = int(l)
-    if not 1 <= l <= n:
-        raise ValueError(f"need 1 <= l <= n = {n}, got l = {l}")
     q = _quantum_bit_count(cq.quantum_dims)
-    if q > MAX_PA_MEMORY_QUBITS:
-        raise ValueError("memory too large for exact verification "
-                         f"(q <= {MAX_PA_MEMORY_QUBITS})")
+    u_values = sorted({k[1] for k in keys}, key=repr)
+    l = int(l)
+    check_pa_size(n, l, q, len(u_values))
     dim = int(np.prod(cq.quantum_dims))
 
-    u_values = sorted({k[1] for k in keys}, key=repr)
     u_index = {u: i for i, u in enumerate(u_values)}
     ops = np.zeros((len(u_values), 2 ** n, dim, dim), dtype=np.complex128)
     for (x, u), op in cq.branches.items():
@@ -276,21 +281,19 @@ def verify_pa(cq: qsim.CqState, l: int, eps: float) -> PrivacyAmpReport:
     # ideal spreads each u's operator evenly over the outputs
     per_x = np.ascontiguousarray(ops.transpose(1, 0, 2, 3)).reshape(2 ** n, -1)
     ideal = ops.sum(axis=1).reshape(-1) / 2 ** l
-    family = enumerate_hash_family(n, l)
+    family = 2 ** (n + l - 1)
     block = max(1, _PA_BLOCK_ENTRIES // per_x.size)
     total = 0.0
-    for start in range(0, len(family), block):
-        tables = np.stack([hash_output_table(h)
-                           for h in family[start:start + block]])
-        real = np.zeros((len(tables), 2 ** l, per_x.shape[1]), complex)
-        np.add.at(real, (np.arange(len(tables))[:, None], tables), per_x)
+    for start in range(0, family, block):
+        g = np.arange(start, min(start + block, family))
+        tables = _output_tables(_row(g[:, None], n, np.arange(l)), n)
+        real = np.zeros((len(g), 2 ** l, per_x.shape[1]), complex)
+        np.add.at(real, (np.arange(len(g))[:, None], tables), per_x)
         diff = (real - ideal).reshape(-1, dim, dim)
         total += float(qsim._trace_norms(diff).sum())
-    dist = 0.5 * total / len(family)
+    dist = 0.5 * total / family
 
-    weights = {}
-    for (x, u), op in cq.branches.items():
-        weights[(x, u)] = weights.get((x, u), 0.0) + op.trace
+    weights = {key: op.trace for key, op in cq.branches.items()}
     joint = JointDistribution(("x", "u"), weights)
     h_smooth = smooth_min_entropy_conditional(joint, eps, given=("u",))
     bound = pa_bound(h_smooth, q, l, eps)

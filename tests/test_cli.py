@@ -466,7 +466,9 @@ def test_domain_errors_exit_2(capsysbinary):
                  ["ot", "check-receiver", "--n", "20"],
                  ["verify", "relation", "--n", "40", "--state", "zero"],
                  ["verify", "pa", "--n", "16"],
-                 ["verify", "pa", "--n", "2", "--q", "30"]):
+                 ["verify", "pa", "--n", "2", "--q", "30"],
+                 ["verify", "pa", "--n", "8", "--l", "8", "--q", "6"],
+                 ["verify", "pa", "--n", "8", "--l", "8", "--q", "1"]):
         code, out, err = run_main(capsysbinary, argv)
         assert code == 2, argv
         assert out == b"" and err.startswith(b"error:"), argv

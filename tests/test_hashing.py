@@ -21,20 +21,28 @@ def test_constructor_validation():
     assert h.parameter_bits == (1, 0, 1, 1)
 
 
-def test_matrix_is_toeplitz():
+def reference_matrix(h):
+    """The l x n Toeplitz matrix of h, built by scipy from its first column
+    and first row."""
     from scipy.linalg import toeplitz
 
+    return toeplitz(h.first_col, h.first_row).astype(np.int64)
+
+
+def test_matrix_is_toeplitz():
     rng = np.random.default_rng(3)
     for _ in range(10):
         h = hashing.sample_hash(int(rng.integers(2, 9)),
                                 int(rng.integers(1, 5)), rng)
-        expect = toeplitz(h.first_col, h.first_row)
-        assert np.array_equal(h.matrix(), expect.astype(np.uint8))
+        n = h.input_bits
+        matrix = [[(row >> (n - 1 - j)) & 1 for j in range(n)]
+                  for row in h.rows]
+        assert np.array_equal(matrix, reference_matrix(h))
 
 
 def test_apply_hash_forms_agree():
     h = ToeplitzHash([1, 0, 1, 1], [1, 0])
-    m = h.matrix()
+    m = reference_matrix(h)
     for xi in range(16):
         bits = [(xi >> (3 - i)) & 1 for i in range(4)]
         expect = tuple(int(v) for v in (m @ np.array(bits)) & 1)
@@ -46,6 +54,28 @@ def test_apply_hash_forms_agree():
         apply_hash(h, [1, 0, 1, 1, 0])  # too long
     with pytest.raises(ValueError):
         apply_hash(h, [2, 0, 0, 0])
+    # integers outside [0, 2^n) are refused, not wrapped
+    for xi in (16, -1, np.int64(16), np.int8(-1), 1 << 70):
+        with pytest.raises(ValueError):
+            apply_hash(h, xi)
+
+
+def test_apply_hash_matches_reference_any_length():
+    # Python-int row masks serve inputs past 64 bits; short inputs only
+    # reach the leading columns, and the empty input hashes to zeros
+    rng = np.random.default_rng(21)
+    for n in (1, 8, 63, 64, 100):
+        for l in sorted({1, min(n, 5), n}):
+            h = hashing.sample_hash(n, l, rng)
+            m = reference_matrix(h)
+            assert apply_hash(h, []) == (0,) * l
+            for size in (1, n // 2, n):
+                x = rng.integers(0, 2, size=size)
+                expect = tuple(int(v) for v in (m[:, :size] @ x) & 1)
+                assert apply_hash(h, x) == expect, (n, l, size)
+                if size == n:
+                    xi = int("".join(map(str, x)), 2)
+                    assert apply_hash(h, xi) == expect, (n, l)
 
 
 def test_fft_path_matches_direct():
@@ -88,6 +118,13 @@ def test_family_size_and_distinctness():
         family = hashing.enumerate_hash_family(n, l)
         assert len(family) == 2 ** (n + l - 1)
         assert len({h.parameter_bits for h in family}) == len(family)
+        # member g has diagonal string g: first_row[j] is bit n-1-j of g
+        # and first_col[i] is bit n-1+i
+        for g, h in enumerate(family):
+            assert h.first_row == tuple((g >> (n - 1 - j)) & 1
+                                        for j in range(n))
+            assert h.first_col == tuple((g >> (n - 1 + i)) & 1
+                                        for i in range(l))
     with pytest.raises(ValueError):
         hashing.enumerate_hash_family(16, 8)
 
@@ -119,6 +156,23 @@ def test_hash_output_table_matches_apply():
         assert short[xi] == sum(b * w for b, w in zip(out, weights))
     with pytest.raises(ValueError):
         hashing.hash_output_table(h, m=7)
+
+
+def test_hash_output_table_matches_reference():
+    # every m <= n <= 8: entry x is the matrix's first m columns applied to
+    # the m bits of x, most significant first, packed first output bit high
+    rng = np.random.default_rng(9)
+    for n in range(1, 9):
+        for l in range(1, n + 1):
+            h = hashing.sample_hash(n, l, rng)
+            m_full = reference_matrix(h)
+            weights = 1 << (l - 1 - np.arange(l))
+            for m in range(n + 1):
+                xs = np.arange(2 ** m)
+                bits = (xs[:, None] >> (m - 1 - np.arange(m))[None, :]) & 1
+                expect = ((bits @ m_full[:, :m].T) & 1) @ weights
+                assert np.array_equal(hashing.hash_output_table(h, m),
+                                      expect), (n, l, m)
 
 
 # ----------------------------------------------------- privacy amplification
@@ -232,3 +286,18 @@ def test_verify_pa_input_errors():
     with pytest.raises(ValueError):
         hashing.verify_pa(
             qsim.CqState((3,), {((0,), 0): np.eye(3) / 3.0}), 1, 0.0)
+    # every gate passes on its own, but the family times the operators is
+    # past the work bound; refused before anything is enumerated
+    with pytest.raises(ValueError):
+        hashing.verify_pa(qsim.CqState((2,), {
+            ((0,) * 8, 0): np.eye(2) / 2.0}), 8, 0.0)
+
+
+def test_pa_size_gate():
+    hashing.check_pa_size(8, 8, 0, 1)
+    hashing.check_pa_size(8, 4, 2, 1)
+    for args in ((9, 1, 0, 1), (4, 0, 0, 1), (4, 5, 0, 1), (4, 1, -1, 1),
+                 (4, 1, hashing.MAX_PA_MEMORY_QUBITS + 1, 1),
+                 (8, 8, 1, 1), (8, 8, 0, 2), (8, 8, 6, 1), (8, 1, 6, 1)):
+        with pytest.raises(ValueError):
+            hashing.check_pa_size(*args)
