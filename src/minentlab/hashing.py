@@ -7,7 +7,9 @@ and output bit i is the parity of input & row.  The family of all strings is
 two-universal: extracting l bits from a source with smooth min-entropy H
 given q qubits of side information leaves a state within
 (1/2) * 2^(-(H - q - l)/2) + 2*eps of uniform-and-independent, which
-verify_pa checks exactly by enumerating the family.
+verify_pa checks exactly by enumerating the family.  Long inputs, such as a
+QKD key, go through apply_hash_fft instead: the matrix-vector product is a
+convolution with the diagonal string, computed with numpy.fft.
 """
 
 from __future__ import annotations
@@ -157,22 +159,23 @@ def apply_hash(h: ToeplitzHash, x) -> tuple[int, ...]:
 def apply_hash_fft(h: ToeplitzHash, x: Sequence[int]) -> tuple[int, ...]:
     """apply_hash for long inputs, without materializing the matrix.
 
-    Toeplitz-vector products are convolutions, so this goes through
-    scipy's FFT-based matmul_toeplitz and rounds back to integers.  The
-    convolution values are bounded by the input length, far below where
-    float64 rounding could flip a parity; a guard asserts the rounding
-    residue anyway.
+    Output bit i is the parity of sum_j d[i - j + n - 1] x[j], where d is the
+    diagonal string read from the top-right entry down to the bottom-left
+    one: a convolution of d with x, computed with numpy.fft at the next
+    power of two >= n + l - 1 (long enough that the needed entries do not
+    wrap) and rounded back to integers.  The sums are bounded by the input
+    length, far below where float64 rounding could flip a parity; a guard
+    checks the rounding residue anyway.
     """
-    from scipy.linalg import matmul_toeplitz
-
+    n, l = h.input_bits, h.output_bits
     xb = np.asarray(x, dtype=np.uint8)
-    if xb.ndim != 1 or xb.size > h.input_bits or xb.max(initial=0) > 1:
-        raise ValueError(f"input must be at most {h.input_bits} bits")
-    if xb.size < h.input_bits:
-        xb = np.concatenate([xb, np.zeros(h.input_bits - xb.size, dtype=np.uint8)])
-    col = np.asarray(h.first_col, dtype=float)
-    row = np.asarray(h.first_row, dtype=float)
-    counts = matmul_toeplitz((col, row), xb.astype(float))
+    if xb.ndim != 1 or xb.size > n or xb.max(initial=0) > 1:
+        raise ValueError(f"input must be at most {n} bits")
+    d = np.concatenate([np.asarray(h.first_row[:0:-1], dtype=float),
+                        np.asarray(h.first_col, dtype=float)])
+    size = 1 << (n + l - 2).bit_length()
+    counts = np.fft.irfft(np.fft.rfft(d, size) * np.fft.rfft(xb, size),
+                          size)[n - 1:n - 1 + l]
     rounded = np.rint(counts)
     if np.abs(counts - rounded).max(initial=0.0) > 1e-6:
         raise ArithmeticError("FFT Toeplitz product strayed from integers")

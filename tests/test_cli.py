@@ -550,3 +550,38 @@ def test_console_script_matches_in_process(capsysbinary):
         filter(None, [package_root, env.get("PYTHONPATH")]))
     check_console_command(capsysbinary, [sys.executable, "-c", launcher],
                           env=env)
+
+
+STARTUP_PROBE = """
+import importlib, pkgutil, sys
+import minentlab, minentlab.cli
+for info in pkgutil.iter_modules(minentlab.__path__):
+    importlib.import_module("minentlab." + info.name)
+main = minentlab.cli.main
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+for argv in (["bound", "overall", "--d", "16"],
+             ["qkd", "run", "--N", "4000", "--seed", "3"],
+             ["ot", "check-sender", "--adversary", "store-one-diag", "--n", "3"],
+             ["commit", "check-binding", "--adversary", "all-plus", "--n", "3"]):
+    assert main(argv) in (0, 1), argv
+    assert not scipy_loaded(), (argv, scipy_loaded()[:5])
+# a one-stored-qubit binding check solves the D=2 dual: now scipy.optimize loads
+main(["commit", "check-binding", "--adversary", "store-one-diag", "--n", "3"])
+assert "scipy.optimize" in sys.modules, scipy_loaded()
+"""
+
+
+def test_startup_loads_no_scipy():
+    """Importing the package and running commands that solve no D=2
+    binding dual loads no scipy module (a fresh interpreter, so nothing
+    imported by other tests counts)."""
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]

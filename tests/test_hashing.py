@@ -86,6 +86,11 @@ def test_fft_path_matches_direct():
         h = hashing.sample_hash(n, l, rng)
         x = rng.integers(0, 2, size=int(rng.integers(1, n + 1)))
         assert hashing.apply_hash_fft(h, x) == apply_hash(h, x)
+    # the QKD size: a 30000-bit sifted key hashed to 1000 bits, full and short
+    h = hashing.sample_hash(30000, 1000, rng)
+    for size in (30000, 17321):
+        x = rng.integers(0, 2, size=size)
+        assert hashing.apply_hash_fft(h, x) == apply_hash(h, x), size
 
 
 def test_hex_round_trip():

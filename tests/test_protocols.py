@@ -264,6 +264,19 @@ def test_alpha_known_values():
                                 abs=1e-12)
 
 
+def test_hadamard_matches_scipy():
+    from scipy.linalg import hadamard as reference
+
+    for m in range(9):
+        h = protocols.hadamard(2 ** m)
+        assert np.array_equal(h, reference(2 ** m)), m
+        with pytest.raises(ValueError):
+            h[0, 0] = 2.0
+    for size in (0, 3, 6):
+        with pytest.raises(ValueError):
+            protocols.hadamard(size)
+
+
 def test_sender_distance_matches_oracle():
     cases = [all_plus(4), store_one_diag(4), all_breidbart(3)]
     rng = np.random.default_rng(21)
