@@ -16,8 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .distrib import (PreconditionError, _entropy_bits,
-                      smooth_min_entropy, InfeasibleMassError)
+from .distrib import PreconditionError, _entropy_bits, smooth_min_entropy
 
 SLACK = 1e-9
 
@@ -125,6 +124,8 @@ def azuma_empirical_tail(lam: float, n: int, trials: int,
     """Monte-Carlo frequency of sum(R_i) >= lam*n for fair +-1 coins."""
     if not (0.0 < lam <= 1.0):
         raise ValueError("lam must lie in (0, 1]")
+    if int(trials) < 1:
+        raise ValueError("need trials >= 1")
     heads = rng.binomial(int(n), 0.5, size=int(trials))
     sums = 2 * heads - int(n)
     return float(np.count_nonzero(sums >= lam * n)) / float(trials)
@@ -239,10 +240,7 @@ def verify_dependent_sequence_bound(model: SequenceModel, n: int,
     total = float(joint.sum())
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"joint mass {total} not normalized")
-    try:
-        h_smooth = smooth_min_entropy(joint, eps)
-    except InfeasibleMassError:
-        raise
+    h_smooth = smooth_min_entropy(joint, eps)
     bound = (model.entropy_floor - 2.0 * float(lam)) * n
     return SequenceBoundReport(n=n, lam=float(lam),
                                entropy_floor=model.entropy_floor, eps=eps,

@@ -133,8 +133,8 @@ def noise_threshold(h: float) -> float:
 
 
 def rate_report(h: float, p: float) -> RateReport:
-    e = binary_entropy(p)
-    return RateReport(h=h, e=e, rate=h - e, threshold=noise_threshold(h))
+    return RateReport(h=h, e=binary_entropy(p), rate=key_rate(h, p),
+                      threshold=noise_threshold(h))
 
 
 def security_margin(eps: float) -> int:

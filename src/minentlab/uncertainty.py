@@ -32,6 +32,8 @@ from .distrib import _entropy_bits, smooth_min_entropy_conditional_arrays
 SLACK = 1e-9
 # Largest exact joint (|B|^n * d^n atoms) verify_uncertainty_relation builds.
 MAX_RELATION_ATOMS = 5_000_000
+# Largest d of overall_bound's exact harmonic sum, whose cost outgrows d.
+MAX_OVERALL_DIM = 2 ** 14
 
 
 def maassen_uffink_bound(b1: qsim.Basis, b2: qsim.Basis) -> float:
@@ -62,6 +64,8 @@ def overall_bound(d: int) -> float:
     d = int(d)
     if d < 2:
         raise ValueError("dimension must be at least 2")
+    if d > MAX_OVERALL_DIM:
+        raise ValueError(f"exact harmonic sum handles d <= {MAX_OVERALL_DIM}")
     harmonic = sum(Fraction(1, i) for i in range(2, d + 1))
     return float(harmonic) / math.log(2.0)
 

@@ -473,8 +473,12 @@ def test_domain_errors_exit_2(capsysbinary):
         assert code == 2, argv
         assert out == b"" and err.startswith(b"error:"), argv
     # values outside a checker's domain: a negative memory, an empty output,
-    # an adversary without qubits
-    for argv in (["verify", "pa", "--q", "-1"],
+    # an adversary without qubits, no trials, a noise rate past 1/2, a
+    # dimension past the exact harmonic sum's gate
+    for argv in (["verify", "azuma", "--trials", "0"],
+                 ["qkd", "rate", "--h", "0.5", "--p", "0.7"],
+                 ["bound", "overall", "--d", "100000000"],
+                 ["verify", "pa", "--q", "-1"],
                  ["verify", "pa", "--l", "0"],
                  ["ot", "check-sender", "--adversary", "all-plus", "--n", "0"],
                  ["ot", "check-sender", "--adversary", "all-plus",
@@ -565,19 +569,18 @@ def scipy_loaded():
 for argv in (["bound", "overall", "--d", "16"],
              ["qkd", "run", "--N", "4000", "--seed", "3"],
              ["ot", "check-sender", "--adversary", "store-one-diag", "--n", "3"],
-             ["commit", "check-binding", "--adversary", "all-plus", "--n", "3"]):
+             ["commit", "check-binding", "--adversary", "all-plus", "--n", "3"],
+             ["commit", "check-binding", "--adversary", "store-one-diag",
+              "--n", "3"]):
     assert main(argv) in (0, 1), argv
     assert not scipy_loaded(), (argv, scipy_loaded()[:5])
-# a one-stored-qubit binding check solves the D=2 dual: now scipy.optimize loads
-main(["commit", "check-binding", "--adversary", "store-one-diag", "--n", "3"])
-assert "scipy.optimize" in sys.modules, scipy_loaded()
 """
 
 
 def test_startup_loads_no_scipy():
-    """Importing the package and running commands that solve no D=2
-    binding dual loads no scipy module (a fresh interpreter, so nothing
-    imported by other tests counts)."""
+    """Importing the package and running commands, a binding check with a
+    stored qubit among them, loads no scipy module (a fresh interpreter, so
+    nothing imported by other tests counts)."""
     package_root = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

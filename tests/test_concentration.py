@@ -43,6 +43,9 @@ def test_azuma_empirical_matches_exact():
         conc.azuma_empirical_tail(0.0, n, 10, rng)
     with pytest.raises(ValueError):
         conc.azuma_empirical_tail(1.5, n, 10, rng)
+    for trials in (0, -1):
+        with pytest.raises(ValueError):
+            conc.azuma_empirical_tail(lam, n, trials, rng)
 
 
 # ------------------------------------------------------------------ models

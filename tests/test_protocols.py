@@ -388,6 +388,28 @@ def test_binding_store_one_diag_tight():
     assert js["cheatUpper"] == pytest.approx(rep.cheat_upper)
 
 
+def test_binding_bracket_closes_for_stored_qubits():
+    # one certified solver serves every memory size: a product committer
+    # storing two qubits (D = 4) and dense committers with one ancilla and
+    # one stored qubit (D = 2) get a bracket gap of at most 1e-9
+    rng = np.random.default_rng(43)
+    committers = [product_adversary("product-q2", 6,
+                                    {0: "+", 2: "x", 3: "x", 5: "+"},
+                                    kept=(1, 4))]
+    for n in (2, 3):
+        u = np.linalg.qr(rng.normal(size=(2 ** (n + 1),) * 2)
+                         + 1j * rng.normal(size=(2 ** (n + 1),) * 2))[0]
+        committers.append(BoundedAdversary(f"haar-n{n}", n, kept=(n,),
+                                           ancillas=1, unitary=u))
+    for adv in committers:
+        rep = protocols.check_binding(adv)
+        assert rep.cheat_lower <= rep.cheat_upper + 1e-12
+        assert rep.cheat_upper - rep.cheat_lower <= 1e-9, \
+            (adv.name, rep.cheat_lower, rep.cheat_upper)
+        assert rep.cheat_upper <= sum(rep.cheat_joint) + 1e-12
+        assert rep.weak_holds
+
+
 def test_binding_guards():
     with pytest.raises(ValueError):
         protocols.check_binding(all_plus(9))
@@ -408,11 +430,10 @@ def test_povm_upper_matches_helstrom_for_two_outcomes():
     rng = np.random.default_rng(33)
     for _ in range(15):
         ops = random_psd_stack(rng, 2, 2)
-        upper = protocols._povm_value_upper(ops)
+        lower, upper = protocols._povm_bracket(ops)
         exact = oracles.helstrom_value(ops[0], ops[1])
         assert upper == pytest.approx(exact, abs=1e-7)
         assert upper >= exact - 1e-9  # certificate side never dips below
-        lower = protocols._povm_value_lower(ops)
         assert lower <= exact + 1e-9
 
 
@@ -425,12 +446,9 @@ def test_povm_bracket_diagonal_stacks():
         ops[:, 0, 0] = diags[:, 0]
         ops[:, 1, 1] = diags[:, 1]
         exact = oracles.diagonal_povm_value(ops)
-        upper = protocols._povm_value_upper(ops)
-        lower = protocols._povm_value_lower(ops)
+        lower, upper = protocols._povm_bracket(ops)
         assert upper >= exact - 1e-9
-        # near-tight: the certificate direction is exact, the gap is
-        # Nelder-Mead residue
-        assert upper == pytest.approx(exact, abs=1e-5)
+        assert upper == pytest.approx(exact, abs=1e-12)
         assert lower == pytest.approx(exact, abs=1e-12)
 
 
@@ -439,8 +457,7 @@ def test_povm_bracket_random_stacks():
     for outcomes in (2, 3, 5):
         for _ in range(8):
             ops = random_psd_stack(rng, outcomes, 2)
-            upper = protocols._povm_value_upper(ops)
-            lower = protocols._povm_value_lower(ops)
+            lower, upper = protocols._povm_bracket(ops)
             assert lower <= upper + 1e-9
             # any POVM value is at most the total mass
             assert upper <= float(np.trace(ops.sum(axis=0)).real) + 1e-9
@@ -448,13 +465,29 @@ def test_povm_bracket_random_stacks():
 
 def test_povm_scalar_and_large_dims():
     ops = np.array([[[0.3]], [[0.5]], [[0.2]]])
-    assert protocols._povm_value_upper(ops) == pytest.approx(0.5)
-    assert protocols._povm_value_lower(ops) == pytest.approx(0.5)
+    lower, upper = protocols._povm_bracket(ops)
+    assert upper == pytest.approx(0.5)
+    assert lower == pytest.approx(0.5)
     rng = np.random.default_rng(39)
     ops = random_psd_stack(rng, 3, 4)
-    upper = protocols._povm_value_upper(ops)
-    lower = protocols._povm_value_lower(ops)
+    lower, upper = protocols._povm_bracket(ops)
     assert lower <= upper + 1e-9
+
+
+def test_povm_bracket_batch_matches_single_stacks():
+    # a batched call brackets each stack exactly as a call on that stack
+    # alone: stacks leave the batch one by one as their gaps close
+    rng = np.random.default_rng(41)
+    for outcomes, d in ((1, 1), (5, 1), (4, 2), (3, 4)):
+        ops = np.stack([random_psd_stack(rng, outcomes, d)
+                        for _ in range(6)]).reshape(2, 3, outcomes, d, d)
+        ops[1, 2] = 0.0                      # a record without mass
+        lower, upper = protocols._povm_bracket(ops)
+        assert lower.shape == upper.shape == (2, 3)
+        for i, j in itertools.product(range(2), range(3)):
+            lo, up = protocols._povm_bracket(ops[i, j])
+            assert lower[i, j] == lo and upper[i, j] == up, (outcomes, d, i, j)
+        assert lower[1, 2] == upper[1, 2] == 0.0
 
 
 def test_binding_error_bound_formula():

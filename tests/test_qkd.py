@@ -41,6 +41,10 @@ def test_key_rate_and_report():
     assert rep.rate == pytest.approx(0.5 - binary_entropy(0.05))
     assert rep.threshold == pytest.approx(qkd.noise_threshold(0.5))
     assert set(rep.to_json()) == {"h", "e", "rate", "threshold"}
+    # the report checks its inputs as key_rate does: p past 1/2 is refused,
+    # not reported as a negative rate
+    with pytest.raises(ValueError):
+        qkd.rate_report(0.5, 0.7)
 
 
 def test_noise_threshold_matches_root_oracle():

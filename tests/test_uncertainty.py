@@ -38,6 +38,15 @@ def test_overall_bound_matches_harmonic_oracle():
         uncertainty.overall_bound(1)
 
 
+def test_overall_bound_gate():
+    top = uncertainty.MAX_OVERALL_DIM
+    assert uncertainty.overall_bound(top) == pytest.approx(
+        oracles.harmonic_bound(top), abs=1e-12)
+    for d in (top + 1, 100_000_000):
+        with pytest.raises(ValueError):
+            uncertainty.overall_bound(d)
+
+
 # ----------------------------------------------------------- numeric search
 
 def test_numeric_bound_bb84_finds_half():
