@@ -20,7 +20,9 @@ attack tableau: the post-measurement amplitudes indexed by the sender's two
 basis substrings, the record and the memory, with their masses and memory
 operators.  `_EprAttack.tableaux` is the only loop over basis strings; the
 exact min-entropy, the sender distance and the binding operators each make
-one pass over it.
+one pass over it.  It walks the strings with `qsim.basis_string_walk`,
+which rotates each prefix once and shares it: about one Hadamard
+contraction per basis string, with at most n + 1 rotated tensors live.
 
 The family-averaged distance over both announced hashes is evaluated with a
 Walsh-Hadamard character identity over the Toeplitz row family, which turns
@@ -598,13 +600,18 @@ class _EprAttack:
 
     def tableaux(self) -> Iterator[_Tableau]:
         """One tableau per basis string, theta read as an n-bit integer with
-        the first position most significant, in increasing order."""
+        the first position most significant, in increasing order.
+
+        The sender wires are rotated by one `qsim.basis_string_walk` with H
+        where theta_i = 1 and nothing where theta_i = 0: 2^n - 1 Hadamard
+        contractions in all, about one per basis string instead of up to
+        n, with at most n + 1 rotated tensors live.
+        """
         n = self.n
-        for ti in range(2 ** n):
-            theta = tuple((ti >> (n - 1 - i)) & 1 for i in range(n))
+        walk = qsim.basis_string_walk(self.base, (None, _H2), n)
+        for theta, rotated in walk:
             i0, i1 = _subset_indices(theta, 0), _subset_indices(theta, 1)
-            arr = np.transpose(_hadamard_wires(self.base, theta),
-                               tuple(i0) + tuple(i1) + self.register)
+            arr = np.transpose(rotated, tuple(i0) + tuple(i1) + self.register)
             a = np.ascontiguousarray(arr).reshape(
                 2 ** len(i0), 2 ** len(i1), self.k_dim, self.mem_dim)
             yield _Tableau(theta, a, (np.abs(a) ** 2).sum(axis=3),

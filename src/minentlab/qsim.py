@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -333,6 +333,51 @@ def _contract_axis(tensor: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray
     """Replace axis content z by sum_z mat[x, z] * tensor[..., z, ...]."""
     t = np.tensordot(mat, tensor, axes=([1], [axis]))
     return np.moveaxis(t, 0, axis)
+
+
+def basis_string_walk(tensor: np.ndarray,
+                      rotations: Sequence[np.ndarray | None], n: int,
+                      density: bool = False
+                      ) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+    """Rotate the first n axes of ``tensor`` to every basis string.
+
+    Yields (digits, rotated) for every string of n digits in
+    range(len(rotations)), in lexicographic order with the first position
+    most significant; ``rotated`` has position i contracted with
+    ``rotations[digits[i]]`` on axis i, for i = 0..n-1 in that order.  A
+    None rotation leaves its axis untouched.  With ``density`` set, each
+    position is contracted a second time, with the conjugate rotation on
+    axis i + n (the column side of a density operator).
+
+    The walk is depth-first: the tensor of each prefix is computed once and
+    shared by every string that extends it, so each string gets exactly the
+    contractions, in the same order, that rotating it from scratch would
+    apply.  With k non-None rotations among |B| = len(rotations) the walk
+    makes k * (|B|^n - 1) / (|B| - 1) contractions, twice that with
+    ``density``: about k / (|B| - 1) per string instead of up to n.  One
+    tensor per prefix length is live, n + 1 at most.  The yielded arrays
+    may be views of one another: read, do not write.
+    """
+    last = len(rotations) - 1
+    digits = [0] * n
+    prefix = [tensor] + [None] * n
+    start = 0
+    while True:
+        for i in range(start, n):
+            t, b = prefix[i], digits[i]
+            if rotations[b] is not None:
+                t = _contract_axis(t, rotations[b], i)
+                if density:
+                    t = _contract_axis(t, rotations[b].conj(), i + n)
+            prefix[i + 1] = t
+        yield tuple(digits), prefix[n]
+        start = n - 1
+        while start >= 0 and digits[start] == last:
+            digits[start] = 0
+            start -= 1
+        if start < 0:
+            return
+        digits[start] += 1
 
 
 def measure(state, bases: Mapping[int, Basis], return_branches: bool = False):

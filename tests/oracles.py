@@ -168,6 +168,28 @@ def shannon_bits(probs) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
+def relation_joint_oracle(state, rotations) -> np.ndarray:
+    """(|B|^n, d^n) joint P(theta, x) of the n-fold relation, by Kronecker
+    products: row theta (first position most significant) is |B|^-n times
+    the outcome distribution of K_theta = kron of rotations[theta_i],
+    applied to ``state`` (a d^n amplitude vector or a d^n x d^n density
+    matrix) as K psi or diag(K rho K^dagger)."""
+    state = np.asarray(state, dtype=np.complex128)
+    nb, d = len(rotations), rotations[0].shape[0]
+    n = round(math.log(state.shape[0], d))
+    rows = []
+    for theta in itertools.product(range(nb), repeat=n):
+        k = np.ones((1, 1))
+        for b in theta:
+            k = np.kron(k, rotations[b])
+        if state.ndim == 1:
+            probs = np.abs(k @ state) ** 2
+        else:
+            probs = np.diagonal(k @ state @ k.conj().T).real
+        rows.append(probs / nb ** n)
+    return np.array(rows)
+
+
 # ---------------------------------------------------------------------------
 # Protocol-level enumeration oracles
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -226,6 +227,48 @@ def test_measure_partial_register():
     probs = qsim.measure(psi, {1: diag})
     assert set(probs) == {(0,), (1,)}
     assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_basis_string_walk_order_values_and_contraction_count(monkeypatch):
+    comp, diag, circ = qsim.standard_bases_qubit()
+    contract = qsim._contract_axis
+    calls = []
+
+    def counting(tensor, mat, axis):
+        calls.append(axis)
+        return contract(tensor, mat, axis)
+
+    rng = np.random.default_rng(43)
+    for rotations in ((None, diag.vectors),
+                      tuple(b.vectors.conj().T for b in (comp, diag)),
+                      tuple(b.vectors.conj().T for b in (comp, diag, circ))):
+        nb = len(rotations)
+        active = sum(u is not None for u in rotations)
+        for n in range(1, 5):
+            # a pure state of n qubits and a qutrit the walk leaves alone,
+            # and a density operator (rows on axes 0..n-1, columns n..2n-1)
+            psi = oracles.random_pure(3 * 2 ** n, rng).reshape((2,) * n + (3,))
+            rho = oracles.random_density(2 ** n, rng).reshape((2,) * (2 * n))
+            for tensor, density in ((psi, False), (rho, True)):
+                want = []
+                for digits in itertools.product(range(nb), repeat=n):
+                    t = tensor
+                    for i, b in enumerate(digits):
+                        if rotations[b] is not None:
+                            t = contract(t, rotations[b], i)
+                            if density:
+                                t = contract(t, rotations[b].conj(), i + n)
+                    want.append((digits, t))
+                calls.clear()
+                monkeypatch.setattr(qsim, "_contract_axis", counting)
+                got = list(qsim.basis_string_walk(tensor, rotations, n,
+                                                  density=density))
+                monkeypatch.setattr(qsim, "_contract_axis", contract)
+                assert [d for d, _ in got] == [d for d, _ in want]
+                for (_, g), (_, w) in zip(got, want):
+                    assert np.array_equal(g, w)
+                prefixes = active * sum(nb ** (i - 1) for i in range(1, n + 1))
+                assert len(calls) == prefixes * (2 if density else 1)
 
 
 def test_epr_pair_correlations():

@@ -183,3 +183,22 @@ def test_relation_haar_family_numeric_h():
     rep = uncertainty.verify_uncertainty_relation(
         qsim.StateVector((2, 2), psi), sb, 0.05)
     assert rep.holds, rep
+
+
+def test_relation_shannon_matches_kron_oracle():
+    rng = np.random.default_rng(37)
+    for sb in (uncertainty.bb84_basis_set(),
+               uncertainty.six_state_basis_set()):
+        rotations = [b.vectors.conj().T for b in sb.bases]
+        for n in (2, 3, 4):
+            psi = oracles.random_pure(2 ** n, rng)
+            rho = oracles.random_density(2 ** n, rng)
+            for state, arr in ((qsim.StateVector((2,) * n, psi), psi),
+                               (qsim.DensityOperator((2,) * n, rho), rho)):
+                joint = oracles.relation_joint_oracle(arr, rotations)
+                # H(X|Theta) = H(X, Theta) - H(Theta), Theta uniform
+                want = (oracles.shannon_bits(joint)
+                        - n * math.log2(len(rotations)))
+                rep = uncertainty.verify_uncertainty_relation(state, sb, 0.05)
+                assert rep.shannon_conditional == pytest.approx(want,
+                                                                abs=1e-12)
