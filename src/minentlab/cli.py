@@ -167,7 +167,7 @@ def _qubit_basis(label: str) -> qsim.Basis:
     return table[label]
 
 
-def _parse_bases_spec(spec: str, seed: int, dim: int = 2):
+def _parse_bases_spec(spec: str, seed: int):
     """bb84 | sixstate | haar:k -> list of Basis objects."""
     comp, diag, circ = qsim.standard_bases_qubit()
     if spec == "bb84":
@@ -179,7 +179,7 @@ def _parse_bases_spec(spec: str, seed: int, dim: int = 2):
         if k < 2:
             raise ValueError("need at least two bases")
         rng = np.random.default_rng(seed)
-        return [qsim.haar_random_basis(dim, rng) for _ in range(k)]
+        return [qsim.haar_random_basis(2, rng) for _ in range(k)]
     raise ValueError(f"unknown basis family {spec!r}")
 
 
@@ -188,10 +188,7 @@ def _basis_set(spec: str, seed: int) -> uncertainty.BasisSet:
         return uncertainty.bb84_basis_set()
     if spec == "sixstate":
         return uncertainty.six_state_basis_set()
-    if spec.startswith("haar:"):
-        return uncertainty.numeric_basis_set(_parse_bases_spec(spec, seed),
-                                             seed=seed)
-    raise ValueError(f"unknown basis family {spec!r}")
+    return uncertainty.numeric_basis_set(_parse_bases_spec(spec, seed))
 
 
 def _builtin_adversary(name: str, n: int) -> protocols.BoundedAdversary:
@@ -267,10 +264,10 @@ def cmd_bound(args) -> tuple[dict, list[dict]]:
     else:  # numeric
         config.update({"bases": args.bases, "seed": args.seed})
         bases = _parse_bases_spec(args.bases, args.seed)
-        res = uncertainty.numeric_average_bound(bases, seed=args.seed)
+        res = uncertainty.numeric_average_bound(bases)
         checks.append(_check("numericBound", value=res.value,
-                             holds=res.converged,
-                             iterations=res.iterations, starts=res.starts))
+                             holds=res.converged, lower=res.lower,
+                             squares=res.squares))
     return config, checks
 
 
@@ -732,29 +729,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_COMMANDS = {"bound": cmd_bound, "verify": cmd_verify, "ot": cmd_ot,
+             "commit": cmd_commit, "qkd": cmd_qkd, "sweep": cmd_sweep}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     start = time.monotonic()
     try:
-        if args.command == "bound":
-            config, checks = cmd_bound(args)
-            code = _emit(args, config, checks)
-        elif args.command == "verify":
-            config, checks = cmd_verify(args)
-            code = _emit(args, config, checks)
-        elif args.command == "ot":
-            config, checks = cmd_ot(args)
-            code = _emit(args, config, checks)
-        elif args.command == "commit":
-            config, checks = cmd_commit(args)
-            code = _emit(args, config, checks)
-        elif args.command == "qkd":
-            config, checks = cmd_qkd(args)
-            code = _emit(args, config, checks)
-        else:
-            config, checks, payload = cmd_sweep(args)
-            code = _emit(args, config, checks, raw_bytes=payload)
+        # sweep hands back a third item, its raw CSV payload
+        code = _emit(args, *_COMMANDS[args.command](args))
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

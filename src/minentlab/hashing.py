@@ -174,8 +174,9 @@ def apply_hash_fft(h: ToeplitzHash, x: Sequence[int]) -> tuple[int, ...]:
     d = np.concatenate([np.asarray(h.first_row[:0:-1], dtype=float),
                         np.asarray(h.first_col, dtype=float)])
     size = 1 << (n + l - 2).bit_length()
-    counts = np.fft.irfft(np.fft.rfft(d, size) * np.fft.rfft(xb, size),
-                          size)[n - 1:n - 1 + l]
+    spectrum = np.fft.rfft(d, size)
+    spectrum *= np.fft.rfft(xb, size)
+    counts = np.fft.irfft(spectrum, size)[n - 1:n - 1 + l]
     rounded = np.rint(counts)
     if np.abs(counts - rounded).max(initial=0.0) > 1e-6:
         raise ArithmeticError("FFT Toeplitz product strayed from integers")

@@ -172,17 +172,39 @@ class CommitTranscript:
                 "accept": self.accept, "seed": self.seed}
 
 
-def _measure_qubit(state: qsim.StateVector, basis: qsim.Basis,
-                   rng: np.random.Generator) -> int:
-    probs = qsim.measure(state, {0: basis})
-    p1 = probs[(1,)]
-    return int(rng.random() < p1)
+def _prepare_and_measure(x: Sequence[int], theta: Sequence[int], b: int,
+                         rng: np.random.Generator) -> tuple[int, ...]:
+    """Send bit x[i] in basis [+,x]_theta[i] and measure it in [+,x]_b,
+    one uniform draw per qubit."""
+    bases = qsim.standard_bases_qubit()[:2]
+    x_prime = []
+    for xi, ti in zip(x, theta):
+        sent = qsim.StateVector((2,), bases[ti].vector(xi))
+        probs = qsim.measure(sent, {0: bases[b]})
+        x_prime.append(int(rng.random() < probs[(1,)]))
+    return tuple(x_prime)
 
 
 def _hash_substring(f: ToeplitzHash, x: Sequence[int],
                     indices: Sequence[int]) -> tuple[int, ...]:
     sub = np.array([x[i] for i in indices], dtype=np.uint8)
     return apply_hash(f, sub)
+
+
+def _ot_transcript(n: int, l: int, c: int, x: tuple[int, ...],
+                   theta: tuple[int, ...], x_prime: tuple[int, ...],
+                   rng: np.random.Generator, seed: int,
+                   epr: bool) -> OtTranscript:
+    """The OT tail shared by both honest runs: draw f0 then f1, hash each
+    subset of x, and hash the receiver's subset of x'."""
+    f0 = sample_hash(n, l, rng)
+    f1 = sample_hash(n, l, rng)
+    s0 = _hash_substring(f0, x, _subset_indices(theta, 0))
+    s1 = _hash_substring(f1, x, _subset_indices(theta, 1))
+    y = _hash_substring((f0, f1)[c], x_prime, _subset_indices(theta, c))
+    return OtTranscript(n=n, l=l, c=c, x=x, theta=theta, x_prime=x_prime,
+                        f0=f0, f1=f1, s0=s0, s1=s1, y=y, seed=int(seed),
+                        epr=epr)
 
 
 def run_ot(n: int, l: int, c: int, seed: int) -> OtTranscript:
@@ -199,22 +221,10 @@ def run_ot(n: int, l: int, c: int, seed: int) -> OtTranscript:
         warnings.warn(f"l = {l} exceeds n/2 = {n // 2}; subsets are typically "
                       "too short for this output length", stacklevel=2)
     rng = np.random.default_rng(seed)
-    comp, diag, _ = qsim.standard_bases_qubit()
-    bases = (comp, diag)
     x = tuple(int(v) for v in rng.integers(0, 2, size=n))
     theta = tuple(int(v) for v in rng.integers(0, 2, size=n))
-    x_prime = []
-    for i in range(n):
-        sent = qsim.StateVector((2,), bases[theta[i]].vector(x[i]))
-        x_prime.append(_measure_qubit(sent, bases[c], rng))
-    x_prime = tuple(x_prime)
-    f0 = sample_hash(n, l, rng)
-    f1 = sample_hash(n, l, rng)
-    s0 = _hash_substring(f0, x, _subset_indices(theta, 0))
-    s1 = _hash_substring(f1, x, _subset_indices(theta, 1))
-    y = _hash_substring((f0, f1)[c], x_prime, _subset_indices(theta, c))
-    return OtTranscript(n=n, l=l, c=c, x=x, theta=theta, x_prime=x_prime,
-                        f0=f0, f1=f1, s0=s0, s1=s1, y=y, seed=int(seed))
+    x_prime = _prepare_and_measure(x, theta, c, rng)
+    return _ot_transcript(n, l, c, x, theta, x_prime, rng, seed, epr=False)
 
 
 def run_epr_ot(n: int, l: int, c: int, seed: int) -> OtTranscript:
@@ -227,8 +237,7 @@ def run_epr_ot(n: int, l: int, c: int, seed: int) -> OtTranscript:
     if n < 1 or l < 1 or c not in (0, 1):
         raise ValueError("need n >= 1, l >= 1, c in {0, 1}")
     rng = np.random.default_rng(seed)
-    comp, diag, _ = qsim.standard_bases_qubit()
-    bases = (comp, diag)
+    bases = qsim.standard_bases_qubit()[:2]
     theta = tuple(int(v) for v in rng.integers(0, 2, size=n))
     x, x_prime = [], []
     for i in range(n):
@@ -240,15 +249,8 @@ def run_epr_ot(n: int, l: int, c: int, seed: int) -> OtTranscript:
         residual = qsim.partial_trace(branches[(r_out,)], [0]).normalized()
         s_probs = qsim.measure(residual, {0: bases[theta[i]]})
         x.append(int(rng.random() < s_probs[(1,)]))
-    x, x_prime = tuple(x), tuple(x_prime)
-    f0 = sample_hash(n, l, rng)
-    f1 = sample_hash(n, l, rng)
-    s0 = _hash_substring(f0, x, _subset_indices(theta, 0))
-    s1 = _hash_substring(f1, x, _subset_indices(theta, 1))
-    y = _hash_substring((f0, f1)[c], x_prime, _subset_indices(theta, c))
-    return OtTranscript(n=n, l=l, c=c, x=x, theta=theta, x_prime=x_prime,
-                        f0=f0, f1=f1, s0=s0, s1=s1, y=y, seed=int(seed),
-                        epr=True)
+    return _ot_transcript(n, l, c, tuple(x), theta, tuple(x_prime), rng,
+                          seed, epr=True)
 
 
 def epr_outcome_table(c: int) -> np.ndarray:
@@ -773,15 +775,9 @@ def run_commit(n: int, b: int, seed: int) -> CommitTranscript:
     if n < 1 or b not in (0, 1):
         raise ValueError("need n >= 1 and b in {0, 1}")
     rng = np.random.default_rng(seed)
-    comp, diag, _ = qsim.standard_bases_qubit()
-    bases = (comp, diag)
     x = tuple(int(v) for v in rng.integers(0, 2, size=n))
     theta = tuple(int(v) for v in rng.integers(0, 2, size=n))
-    x_prime = []
-    for i in range(n):
-        sent = qsim.StateVector((2,), bases[theta[i]].vector(x[i]))
-        x_prime.append(_measure_qubit(sent, bases[b], rng))
-    x_prime = tuple(x_prime)
+    x_prime = _prepare_and_measure(x, theta, b, rng)
     accept = commit_accepts(x, theta, b, x_prime)
     return CommitTranscript(n=n, b=b, x=x, theta=theta, x_prime=x_prime,
                             accept=accept, seed=int(seed))

@@ -243,19 +243,21 @@ def run_qkd(basis_set: BasisSet, n_sent: int, channel: ChannelModel,
         raise ValueError(f"need 1 <= N <= {MAX_SENT}")
     if mode not in ("ideal-reconciliation", "linear-syndrome"):
         raise ValueError(f"unknown mode {mode!r}")
+    if max_sift is not None and max_sift < 0:
+        raise ValueError(f"max_sift must be non-negative, got {max_sift}")
     p = channel.p
     rng = np.random.default_rng(seed)
     nb = len(basis_set.bases)
 
-    theta_a = rng.integers(0, nb, size=n_sent)
-    x_all = rng.integers(0, 2, size=n_sent)
-    theta_b = rng.integers(0, nb, size=n_sent)
+    # Every pulse draws its channel outcome, but only sifted pulses are
+    # evaluated, and bases and bits are narrowed as they are drawn, so a run
+    # holds about one int64 array of N at a time.
+    theta = rng.integers(0, nb, size=n_sent).astype(np.int32)
+    x = rng.integers(0, 2, size=n_sent).astype(np.uint8)
+    keep = theta == rng.integers(0, nb, size=n_sent)
+    theta, x = theta[keep], x[keep]
     prob1 = _outcome_probabilities(basis_set, p)
-    y_all = (rng.random(n_sent) < prob1[theta_a, x_all, theta_b]).astype(np.uint8)
-
-    keep = theta_a == theta_b
-    x = x_all[keep].astype(np.uint8)
-    y = y_all[keep]
+    y = (rng.random(n_sent)[keep] < prob1[theta, x, theta]).astype(np.uint8)
     if max_sift is not None:
         x = x[:int(max_sift)]
         y = y[:int(max_sift)]
@@ -302,8 +304,8 @@ def run_qkd(basis_set: BasisSet, n_sent: int, channel: ChannelModel,
     rate = l / m if m else 0.0
 
     return QkdRun(n_sent=n_sent, sifted=m, mode=mode, p=p, qber=qber,
-                  x=tuple(int(b) for b in x), y=tuple(int(b) for b in y),
-                  x_hat=tuple(int(b) for b in x_hat),
+                  x=tuple(x.tolist()), y=tuple(y.tolist()),
+                  x_hat=tuple(x_hat.tolist()),
                   syndrome=syndrome, e_bits=e_bits, q=int(q), eps=eps, l=l,
                   rate=rate, hash_used=hash_used,
                   decode_success=decode_success, key_a=key_a, key_b=key_b)

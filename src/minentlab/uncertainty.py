@@ -6,9 +6,8 @@ outcome distribution, the average running over a uniformly random basis
 choice.  Closed forms are provided for two mutually unbiased qubit bases
 (1/2), the three mutually unbiased qubit bases (2/3) and for the full
 Haar-averaged family (sum_{i=2..d} 1/i / ln 2).  For any other finite
-family a multi-start projected gradient descent estimates h: the value it
-returns is the objective at its best iterate, an upper estimate of the
-minimum, not a certified lower bound.
+qubit family a branch and bound over the Bloch sphere brackets h to within
+1e-12, and the certified lower end of that bracket is the "numeric" h.
 
 The n-fold consequence: measuring n independent systems in uniformly random
 per-system bases yields a string whose smooth min-entropy given the basis
@@ -70,13 +69,24 @@ def overall_bound(d: int) -> float:
     return float(harmonic) / math.log(2.0)
 
 
+# numeric_average_bound's bracket width, per-square rounding allowance and
+# the most squares it keeps: a bracket that will not close stops there.
+NUMERIC_GAP = 1e-12
+NUMERIC_SLACK = 1e-13
+MAX_FRONTIER = 1 << 16
+_CORNERS = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])
+
+
 @dataclass(frozen=True)
 class NumericBoundResult:
+    """Certified bracket lower <= h <= value; ``value`` is the objective at
+    ``minimizer`` and ``squares`` counts the squares bounded."""
+
     value: float
+    lower: float
     minimizer: qsim.StateVector
-    iterations: int
+    squares: int
     converged: bool
-    starts: int
 
 
 def _average_entropy(psi: np.ndarray, rotations: Sequence[np.ndarray]) -> float:
@@ -86,86 +96,99 @@ def _average_entropy(psi: np.ndarray, rotations: Sequence[np.ndarray]) -> float:
     return total / len(rotations)
 
 
-def numeric_average_bound(bases: Sequence[qsim.Basis], tol: float = 1e-10,
-                          starts: int = 64, max_iter: int = 1500,
-                          seed: int = 7) -> NumericBoundResult:
-    """Minimize the average outcome entropy over pure states.
+def _bloch_entropy(t: np.ndarray) -> np.ndarray:
+    """g(t) = h2((1 + t) / 2), concave on [-1, 1]."""
+    p = np.clip(np.stack([1.0 + t, 1.0 - t]) / 2.0, 0.0, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return -np.where(p > 0.0, p * np.log2(p), 0.0).sum(axis=0)
 
-    Multi-start projected gradient descent on the unit sphere of C^d with a
-    finite-difference gradient and backtracking line search.  Every basis
-    vector of the family is used as a deterministic start (minimizers of
-    mutually unbiased families sit there) along with ``starts`` random
-    starts.  The returned value is an exact objective evaluation at the best
-    iterate, hence always an upper bound on the true minimum; convergence
-    failures are reported in the result, never silently swallowed.
+
+def _angle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Angle between vectors along the last axis; atan2 stays accurate near
+    0 and pi, where arccos does not."""
+    return np.arctan2(np.linalg.norm(np.cross(a, b), axis=-1),
+                      np.sum(a * b, axis=-1))
+
+
+def _bloch_state(r: np.ndarray) -> np.ndarray:
+    """Qubit amplitudes whose Bloch vector is the unit vector r."""
+    x, y, z = r
+    psi = np.array([1.0 + z, x + 1j * y] if z >= 0.0 else [x - 1j * y, 1.0 - z])
+    return psi / np.linalg.norm(psi)
+
+
+def numeric_average_bound(bases: Sequence[qsim.Basis]) -> NumericBoundResult:
+    """Certified minimum of the average outcome entropy of a qubit family.
+
+    On the Bloch sphere the objective is f(r) = mean_b g(r . n_b), n_b the
+    Bloch axis of basis b.  Branch and bound over the six cube faces,
+    quartering each surviving square every round.  A square lies in the cap
+    about its normalised centre c whose radius rho is the largest angle from
+    c to a corner (exact: that cap's cone is convex for rho < pi/2).  On the
+    cap r . n_b lies in [cos(min(pi, phi_b + rho)), cos(max(0, phi_b - rho))],
+    phi_b the angle from c to n_b, so f is at least the mean of the smaller
+    end values of g and, g lying above its chords, at least a + w . r, whose
+    minimum on the cap is a + |w| cos(min(pi, angle(w, c) + rho)).  The
+    larger, less NUMERIC_SLACK, bounds the square; f at the best centre is
+    the upper end.  A square is pruned once its bound is within NUMERIC_GAP
+    of the upper end, and ``lower`` is the least bound pruned.  n_b is read
+    from each basis's first vector, so the bound holds for bases that are
+    orthonormal to rounding.  Any basis of dimension other than 2 raises
+    ValueError.
     """
     if not bases:
         raise ValueError("need at least one basis")
-    d = bases[0].dim
-    if any(b.dim != d for b in bases):
-        raise qsim.DimensionMismatchError("bases have mixed dimensions")
+    if any(b.dim != 2 for b in bases):
+        raise ValueError("certified bound handles qubit families only")
     rotations = [b.vectors.conj().T for b in bases]
-    rng = np.random.default_rng(seed)
+    v0, v1 = np.array([b.vectors[:, 0] for b in bases]).T
+    axes = np.stack([2.0 * (v0 * v1.conj()).real, -2.0 * (v0 * v1.conj()).imag,
+                     np.abs(v0) ** 2 - np.abs(v1) ** 2], axis=1)
 
-    def objective(x: np.ndarray) -> float:
-        psi = x[:d] + 1j * x[d:]
-        return _average_entropy(psi, rotations)
+    # square centres on the cube's surface, and each square's two edge axes
+    points = np.vstack([np.eye(3), -np.eye(3)])
+    frames = np.stack([np.roll(points, 1, axis=1),
+                       np.roll(points, 2, axis=1)], axis=1)
+    half, squares = 1.0, 0
+    value, lower, psi_best = math.inf, math.inf, None
+    while points.size:
+        squares += len(points)
+        c = points / np.linalg.norm(points, axis=1, keepdims=True)
+        offsets = _CORNERS @ frames
+        rho = _angle(c[:, None], points[:, None] + half * offsets).max(axis=1)
 
-    seeds = [b.vectors[:, j] for b in bases for j in range(d)]
-    start_points = [np.concatenate([p.real, p.imag]) for p in seeds]
-    start_points += [rng.normal(size=2 * d) for _ in range(int(starts))]
+        best = c[np.argmin(_bloch_entropy(c @ axes.T).mean(axis=1))]
+        psi = _bloch_state(best)
+        f_psi = _average_entropy(psi, rotations)
+        if f_psi < value:
+            value, psi_best = f_psi, psi
 
-    best_val = math.inf
-    best_x = None
-    total_iters = 0
-    all_converged = True
-    fd = 1e-6
-    for x in start_points:
-        x = x / np.linalg.norm(x)
-        val = objective(x)
-        step = 0.5
-        converged = False
-        it = 0
-        for it in range(max_iter):
-            grad = np.empty(2 * d)
-            for j in range(2 * d):
-                e = np.zeros(2 * d)
-                e[j] = fd
-                xp = x + e
-                xm = x - e
-                grad[j] = (objective(xp / np.linalg.norm(xp))
-                           - objective(xm / np.linalg.norm(xm))) / (2 * fd)
-            gnorm = float(np.linalg.norm(grad))
-            if gnorm < 1e-12:
-                converged = True
-                break
-            improved = False
-            while step > 1e-14:
-                cand = x - step * grad
-                cand /= np.linalg.norm(cand)
-                cval = objective(cand)
-                if cval < val - 1e-16:
-                    x, val = cand, cval
-                    improved = True
-                    step *= 1.3
-                    break
-                step *= 0.5
-            if not improved:
-                converged = True
-                break
-        total_iters += it + 1
-        all_converged = all_converged and converged
-        if val < best_val:
-            best_val = val
-            best_x = x.copy()
+        phi = _angle(c[:, None], axes)
+        lo = np.cos(np.minimum(np.pi, phi + rho[:, None]))
+        hi = np.cos(np.maximum(0.0, phi - rho[:, None]))
+        g_lo, g_hi = _bloch_entropy(lo), _bloch_entropy(hi)
+        slope = np.divide(g_hi - g_lo, hi - lo, out=np.zeros_like(lo),
+                          where=hi > lo)
+        w = slope @ axes / len(bases)
+        reach = np.minimum(np.pi, _angle(w, c) + rho)
+        chord = ((g_lo - slope * lo).mean(axis=1)
+                 + np.linalg.norm(w, axis=1) * np.cos(reach))
+        bound = np.maximum(chord, np.minimum(g_lo, g_hi).mean(axis=1))
+        bound -= NUMERIC_SLACK
 
-    psi = best_x[:d] + 1j * best_x[d:]
-    psi /= np.linalg.norm(psi)
-    return NumericBoundResult(value=float(best_val),
-                              minimizer=qsim.StateVector((d,), psi),
-                              iterations=total_iters,
-                              converged=all_converged,
-                              starts=len(start_points))
+        keep = value - bound > NUMERIC_GAP
+        if 4 * keep.sum() > MAX_FRONTIER:
+            keep[:] = False       # give up; the bracket stays open
+        lower = min(lower, bound[~keep].min(initial=math.inf))
+        half /= 2.0
+        points = (points[:, None] + half * offsets)[keep].reshape(-1, 3)
+        frames = np.repeat(frames[keep], 4, axis=0)
+
+    lower = max(float(lower), 0.0)
+    return NumericBoundResult(value=float(value), lower=lower,
+                              minimizer=qsim.StateVector((2,), psi_best),
+                              squares=squares,
+                              converged=value - lower <= NUMERIC_GAP)
 
 
 @dataclass(frozen=True)
@@ -173,8 +196,8 @@ class BasisSet:
     """A family of bases with an average-entropy figure h.
 
     ``h_provenance`` records where h came from: "closed-form" (the exact
-    minimum), "numeric" (gradient descent; an upper estimate of the minimum,
-    so not certified) or "supplied".
+    minimum), "numeric" (the certified lower end of numeric_average_bound's
+    bracket) or "supplied".
     """
 
     bases: tuple[qsim.Basis, ...]
@@ -198,18 +221,6 @@ class BasisSet:
     def dim(self) -> int:
         return self.bases[0].dim
 
-    def spot_check(self, samples: int, rng: np.random.Generator) -> float:
-        """Smallest average entropy over random pure states; must stay above
-        h - 1e-7 for a sound bound."""
-        rotations = [b.vectors.conj().T for b in self.bases]
-        d = self.dim
-        worst = math.inf
-        for _ in range(samples):
-            z = rng.normal(size=d) + 1j * rng.normal(size=d)
-            z /= np.linalg.norm(z)
-            worst = min(worst, _average_entropy(z, rotations))
-        return worst
-
 
 def bb84_basis_set() -> BasisSet:
     comp, diag, _ = qsim.standard_bases_qubit()
@@ -221,11 +232,12 @@ def six_state_basis_set() -> BasisSet:
     return BasisSet((comp, diag, circ), six_state_bound(), "closed-form")
 
 
-def numeric_basis_set(bases: Sequence[qsim.Basis], **kwargs) -> BasisSet:
-    result = numeric_average_bound(bases, **kwargs)
+def numeric_basis_set(bases: Sequence[qsim.Basis]) -> BasisSet:
+    result = numeric_average_bound(bases)
     if not result.converged:
-        raise RuntimeError("numeric bound search did not converge")
-    return BasisSet(tuple(bases), result.value, "numeric")
+        raise ValueError(f"numeric bound bracket [{result.lower}, "
+                         f"{result.value}] did not close to {NUMERIC_GAP}")
+    return BasisSet(tuple(bases), result.lower, "numeric")
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import math
 
 import mpmath
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linprog, minimize
 
 from minentlab import hashing, qsim
 
@@ -188,6 +188,37 @@ def relation_joint_oracle(state, rotations) -> np.ndarray:
             probs = np.diagonal(k @ state @ k.conj().T).real
         rows.append(probs / nb ** n)
     return np.array(rows)
+
+
+def min_average_entropy_oracle(bases, grid: int = 256,
+                               polish: int = 6) -> float:
+    """Minimum over qubit pure states psi = (cos(t/2), e^{ip} sin(t/2)) of
+    the mean over ``bases`` of the outcome entropy, taken from the
+    amplitudes |<b_j|psi>|^2 rather than from Bloch axes: a (t, p) grid of
+    grid x 2 grid points, then Nelder-Mead from the ``polish`` best grid
+    points.  Every value it returns is the objective at a state, so it is
+    never below the true minimum."""
+    adjoints = np.array([b.vectors.conj().T for b in bases])
+
+    def mean_entropy(t, p):
+        psi = np.array([np.cos(t / 2) + 0j, np.exp(1j * p) * np.sin(t / 2)])
+        probs = np.clip(np.abs(np.einsum("bjk,k...->bj...", adjoints,
+                                         psi)) ** 2, 0.0, 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(probs > 0, probs * np.log2(probs), 0.0)
+        return -terms.sum(axis=1).mean(axis=0)
+
+    t, p = np.meshgrid(np.linspace(0, np.pi, grid + 1),
+                       np.linspace(0, 2 * np.pi, 2 * grid, endpoint=False))
+    values = mean_entropy(t.ravel(), p.ravel())
+    best = float(values.min())
+    for i in np.argsort(values)[:polish]:
+        res = minimize(lambda v: float(mean_entropy(v[0], v[1])),
+                       [t.ravel()[i], p.ravel()[i]], method="Nelder-Mead",
+                       options={"xatol": 1e-10, "fatol": 1e-15,
+                                "maxiter": 2000})
+        best = min(best, float(res.fun))
+    return best
 
 
 # ---------------------------------------------------------------------------

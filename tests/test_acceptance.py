@@ -59,8 +59,8 @@ def test_criterion_02_haar_entropy_monte_carlo():
 def test_criterion_03_numeric_bound_anchors():
     t0 = time.perf_counter()
     comp, diag, circ = qsim.standard_bases_qubit()
-    two = uncertainty.numeric_average_bound([comp, diag], seed=0)
-    three = uncertainty.numeric_average_bound([comp, diag, circ], seed=0)
+    two = uncertainty.numeric_average_bound([comp, diag])
+    three = uncertainty.numeric_average_bound([comp, diag, circ])
     elapsed = time.perf_counter() - t0
     ok = (two.converged and abs(two.value - 0.5) <= 1e-5
           and three.converged and abs(three.value - 2.0 / 3.0) <= 1e-4

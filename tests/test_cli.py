@@ -19,6 +19,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from argparse import Namespace
 from pathlib import Path
 
@@ -97,7 +98,33 @@ def test_bound_numeric_bb84(capsysbinary):
     assert code == 0
     ch = check_named(parse_report(out), "numericBound")
     assert ch["holds"] is True          # holds carries the converged flag
-    assert ch["value"] == pytest.approx(0.5, abs=1e-4)
+    assert ch["value"] == 0.5
+    assert sorted(ch["detail"]) == ["lower", "squares"]
+    assert 0.5 - 1e-12 <= ch["detail"]["lower"] <= 0.5
+
+
+def test_bound_numeric_haar_repeatable_and_fast(capsysbinary):
+    argv = ["bound", "numeric", "--bases", "haar:3", "--seed", "0", "--json"]
+    t0 = time.perf_counter()
+    first = run_main(capsysbinary, argv)
+    elapsed = time.perf_counter() - t0
+    assert first[0] == 0
+    assert run_main(capsysbinary, argv)[1] == first[1]
+    assert elapsed < 1.0, elapsed
+
+
+def test_back_to_back_calls_keep_defaults(capsysbinary):
+    # one call's options must not become the next call's defaults, however
+    # main builds or keeps its parser
+    code, out, _ = run_main(capsysbinary, ["verify", "pa", "--n", "5",
+                                           "--json"])
+    assert code == 0 and parse_report(out)["config"]["n"] == 5
+    code, out, _ = run_main(capsysbinary, ["verify", "pa", "--json"])
+    assert code == 0 and parse_report(out)["config"]["n"] == 4
+    code, out, _ = run_main(capsysbinary, ["ot", "run", "--epr", "--json"])
+    assert code == 0 and parse_report(out)["config"]["epr"] is True
+    code, out, _ = run_main(capsysbinary, ["ot", "run", "--json"])
+    assert code == 0 and parse_report(out)["config"]["epr"] is False
 
 
 def test_qkd_threshold_and_rate_match_library(capsysbinary):
@@ -348,6 +375,11 @@ def test_qkd_run_matches_library(capsysbinary):
     assert check_named(report, "keysMatch")["holds"] is run.keys_match
     assert check_named(report, "keyLength")["value"] == float(run.l)
     assert check_named(report, "qber")["value"] == canon(run.qber)
+    # an empty block is a valid request; a negative one exits 2
+    code, out, _ = run_main(capsysbinary, ["qkd", "run", "--max-sift", "0",
+                                           "--json"])
+    assert code == 0
+    assert check_named(parse_report(out), "keyLength")["value"] == 0.0
 
 
 # ------------------------------------------------------------------ sweep
@@ -480,6 +512,7 @@ def test_domain_errors_exit_2(capsysbinary):
                  ["bound", "overall", "--d", "100000000"],
                  ["verify", "pa", "--q", "-1"],
                  ["verify", "pa", "--l", "0"],
+                 ["qkd", "run", "--max-sift", "-5"],
                  ["ot", "check-sender", "--adversary", "all-plus", "--n", "0"],
                  ["ot", "check-sender", "--adversary", "all-plus",
                   "--n", "-1"],
@@ -490,6 +523,14 @@ def test_domain_errors_exit_2(capsysbinary):
         code, out, err = run_main(capsysbinary, argv)
         assert code == 2, argv
         assert out == b"" and err.startswith(b"error:"), argv
+
+
+def test_open_numeric_bracket_exits_2(capsysbinary, monkeypatch):
+    monkeypatch.setattr(uncertainty, "MAX_FRONTIER", 16)
+    code, out, err = run_main(capsysbinary, ["verify", "relation", "--bases",
+                                             "haar:2", "--n", "2"])
+    assert code == 2
+    assert out == b"" and err.startswith(b"error:")
 
 
 def test_sweep_config_errors_exit_2(tmp_path, capsysbinary):

@@ -118,6 +118,8 @@ def test_run_input_gates():
         qkd.run_qkd(sb, 10 ** 6 + 1, ch)
     with pytest.raises(ValueError):
         qkd.run_qkd(sb, 100, ch, mode="syndrome")
+    with pytest.raises(ValueError):
+        qkd.run_qkd(sb, 100, ch, max_sift=-5)   # would drop the last bits
 
 
 def test_empty_sift_run():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from minentlab import qsim, uncertainty
+from minentlab import cli, qsim, uncertainty
 from minentlab.protocols import breidbart_basis
 
 
@@ -49,26 +49,48 @@ def test_overall_bound_gate():
 
 # ----------------------------------------------------------- numeric search
 
+def _qubit_families():
+    """Closed-form and degenerate families, and haar:k drawn as the CLI
+    draws them."""
+    comp, diag, circ = qsim.standard_bases_qubit()
+    fams = {"bb84": (comp, diag), "sixstate": (comp, diag, circ),
+            "plus": (comp,), "plus-plus": (comp, comp),
+            "plus-x-x": (comp, diag, diag), "plus-breidbart":
+            (comp, breidbart_basis()), "x-circular": (diag, circ)}
+    for k in (2, 3, 4, 6):
+        for seed in (0, 1, 2, 5, 7):
+            fams[f"haar:{k}/{seed}"] = cli._parse_bases_spec(f"haar:{k}",
+                                                             seed)
+    return fams
+
+
 def test_numeric_bound_bb84_finds_half():
     comp, diag, _ = qsim.standard_bases_qubit()
-    res = uncertainty.numeric_average_bound((comp, diag), starts=8,
-                                            max_iter=400, seed=3)
+    res = uncertainty.numeric_average_bound((comp, diag))
     assert res.converged
-    assert res.value == pytest.approx(0.5, abs=1e-5)
+    assert res.value == 0.5
+    assert 0.5 - uncertainty.NUMERIC_GAP <= res.lower <= 0.5
     # the minimizer's average entropy really is the reported value
     rot = [b.vectors.conj().T for b in (comp, diag)]
     check = uncertainty._average_entropy(res.minimizer.amplitudes, rot)
-    assert check == pytest.approx(res.value, abs=1e-12)
+    assert check == res.value
+
+
+def test_numeric_bound_brackets_oracle_minimum():
+    for name, bases in _qubit_families().items():
+        res = uncertainty.numeric_average_bound(bases)
+        assert res.converged, name
+        assert res.value - res.lower <= 1e-12, name
+        want = oracles.min_average_entropy_oracle(bases)
+        assert res.lower <= want <= res.value + 1e-9, (name, res, want)
 
 
 def test_numeric_bound_reproducible():
     comp, diag, _ = qsim.standard_bases_qubit()
-    a = uncertainty.numeric_average_bound((comp, diag), starts=4,
-                                          max_iter=200, seed=11)
-    b = uncertainty.numeric_average_bound((comp, diag), starts=4,
-                                          max_iter=200, seed=11)
-    assert a.value == b.value
-    assert a.iterations == b.iterations
+    a = uncertainty.numeric_average_bound((comp, diag))
+    b = uncertainty.numeric_average_bound((comp, diag))
+    assert (a.value, a.lower) == (b.value, b.lower)
+    assert a.squares == b.squares
     with pytest.raises(ValueError):
         uncertainty.numeric_average_bound(())
 
@@ -76,8 +98,30 @@ def test_numeric_bound_reproducible():
 def test_numeric_bound_single_basis_is_zero():
     # one basis: any basis vector has zero outcome entropy
     comp, _, _ = qsim.standard_bases_qubit()
-    res = uncertainty.numeric_average_bound((comp,), starts=2, max_iter=100)
+    res = uncertainty.numeric_average_bound((comp,))
     assert res.value == pytest.approx(0.0, abs=1e-9)
+    assert res.lower == 0.0 and res.converged
+
+
+def test_numeric_bound_frontier_cap_leaves_bracket_open(monkeypatch):
+    # a capped search stops with a sound but open bracket, and a basis set
+    # is refused rather than built from it
+    monkeypatch.setattr(uncertainty, "MAX_FRONTIER", 16)
+    comp, diag, _ = qsim.standard_bases_qubit()
+    res = uncertainty.numeric_average_bound((comp, diag))
+    assert not res.converged
+    assert res.lower <= 0.5 <= res.value
+    with pytest.raises(ValueError):
+        uncertainty.numeric_basis_set((comp, diag))
+
+
+def test_numeric_bound_refuses_qutrits():
+    rng = np.random.default_rng(3)
+    bases = [qsim.haar_random_basis(3, rng) for _ in range(2)]
+    with pytest.raises(ValueError):
+        uncertainty.numeric_average_bound(bases)
+    with pytest.raises(ValueError):
+        uncertainty.numeric_basis_set(bases)
 
 
 # ------------------------------------------------------------------ BasisSet
@@ -98,17 +142,18 @@ def test_basis_set_validation():
 
 
 def test_basis_set_spot_check_respects_bound():
-    rng = np.random.default_rng(19)
+    # a closed-form h is no larger than the oracle's minimum
     for sb in (uncertainty.bb84_basis_set(), uncertainty.six_state_basis_set()):
-        worst = sb.spot_check(300, rng)
-        assert worst >= sb.h - 1e-7
+        assert sb.h <= oracles.min_average_entropy_oracle(sb.bases) + 1e-12
 
 
 def test_numeric_basis_set_provenance():
     comp, diag, _ = qsim.standard_bases_qubit()
-    sb = uncertainty.numeric_basis_set((comp, diag), starts=8, max_iter=400)
+    sb = uncertainty.numeric_basis_set((comp, diag))
     assert sb.h_provenance == "numeric"
-    assert sb.h == pytest.approx(0.5, abs=1e-5)
+    # h is the certified lower end of the bracket, not the upper value
+    assert sb.h == uncertainty.numeric_average_bound((comp, diag)).lower
+    assert 0.5 - uncertainty.NUMERIC_GAP <= sb.h <= 0.5
 
 
 # ------------------------------------------------- n-fold bound and verifier
@@ -178,7 +223,7 @@ def test_relation_haar_family_numeric_h():
     # a two-basis family built from Haar draws, with a numerically certified h
     rng = np.random.default_rng(31)
     bases = (qsim.haar_random_basis(2, rng), qsim.haar_random_basis(2, rng))
-    sb = uncertainty.numeric_basis_set(bases, starts=16, max_iter=400)
+    sb = uncertainty.numeric_basis_set(bases)
     psi = oracles.random_pure(4, rng)
     rep = uncertainty.verify_uncertainty_relation(
         qsim.StateVector((2, 2), psi), sb, 0.05)
