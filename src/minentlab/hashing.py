@@ -7,9 +7,10 @@ and output bit i is the parity of input & row.  The family of all strings is
 two-universal: extracting l bits from a source with smooth min-entropy H
 given q qubits of side information leaves a state within
 (1/2) * 2^(-(H - q - l)/2) + 2*eps of uniform-and-independent, which
-verify_pa checks exactly by enumerating the family.  Long inputs, such as a
-QKD key, go through apply_hash_fft instead: the matrix-vector product is a
-convolution with the diagonal string, computed with numpy.fft.
+verify_pa checks exactly by enumerating the family.  One evaluator serves
+each job: apply_hash hashes one input of any length (an OT substring or a
+QKD key) as a numpy.fft convolution with the diagonal string, and
+_output_tables hashes every input of a short string as row-mask parities.
 """
 
 from __future__ import annotations
@@ -137,27 +138,10 @@ def sample_hash(n: int, l: int, rng: np.random.Generator) -> ToeplitzHash:
 def apply_hash(h: ToeplitzHash, x) -> tuple[int, ...]:
     """Hash an input bit string (sequence of bits or integer).
 
-    An integer must lie in [0, 2^n), its most significant bit first.
-    Sequences shorter than ``input_bits`` are zero-padded on the right, so
-    only the first ``len(x)`` columns of the matrix act; longer inputs are
-    rejected.
-    """
-    n = h.input_bits
-    if isinstance(x, (int, np.integer)):
-        value = int(x)
-        if not 0 <= value < 1 << n:
-            raise ValueError(f"integer input must lie in [0, 2^{n})")
-    else:
-        xb = np.asarray(x, dtype=np.uint8)
-        bits = xb.tolist()
-        if xb.ndim != 1 or len(bits) > n or max(bits, default=0) > 1:
-            raise ValueError(f"input must be at most {n} bits")
-        value = int("0" + "".join(map(str, bits)), 2) << (n - len(bits))
-    return tuple((value & row).bit_count() & 1 for row in h.rows)
-
-
-def apply_hash_fft(h: ToeplitzHash, x: Sequence[int]) -> tuple[int, ...]:
-    """apply_hash for long inputs, without materializing the matrix.
+    An integer must lie in [0, 2^n), its most significant bit first; it is
+    unpacked to n bits.  Sequences shorter than ``input_bits`` are
+    zero-padded on the right, so only the first ``len(x)`` columns of the
+    matrix act; longer inputs are rejected.
 
     Output bit i is the parity of sum_j d[i - j + n - 1] x[j], where d is the
     diagonal string read from the top-right entry down to the bottom-left
@@ -168,6 +152,11 @@ def apply_hash_fft(h: ToeplitzHash, x: Sequence[int]) -> tuple[int, ...]:
     checks the rounding residue anyway.
     """
     n, l = h.input_bits, h.output_bits
+    if isinstance(x, (int, np.integer)):
+        value = int(x)
+        if not 0 <= value < 1 << n:
+            raise ValueError(f"integer input must lie in [0, 2^{n})")
+        x = [(value >> (n - 1 - j)) & 1 for j in range(n)]
     xb = np.asarray(x, dtype=np.uint8)
     if xb.ndim != 1 or xb.size > n or xb.max(initial=0) > 1:
         raise ValueError(f"input must be at most {n} bits")

@@ -175,20 +175,10 @@ class CommitTranscript:
 def _prepare_and_measure(x: Sequence[int], theta: Sequence[int], b: int,
                          rng: np.random.Generator) -> tuple[int, ...]:
     """Send bit x[i] in basis [+,x]_theta[i] and measure it in [+,x]_b,
-    one uniform draw per qubit."""
-    bases = qsim.standard_bases_qubit()[:2]
-    x_prime = []
-    for xi, ti in zip(x, theta):
-        sent = qsim.StateVector((2,), bases[ti].vector(xi))
-        probs = qsim.measure(sent, {0: bases[b]})
-        x_prime.append(int(rng.random() < probs[(1,)]))
-    return tuple(x_prime)
-
-
-def _hash_substring(f: ToeplitzHash, x: Sequence[int],
-                    indices: Sequence[int]) -> tuple[int, ...]:
-    sub = np.array([x[i] for i in indices], dtype=np.uint8)
-    return apply_hash(f, sub)
+    one uniform draw per qubit, in qubit order."""
+    table = qsim.outcome_table(qsim.standard_bases_qubit()[:2])
+    p1 = table[list(theta), list(x), b]
+    return tuple((rng.random(len(p1)) < p1).astype(int).tolist())
 
 
 def _ot_transcript(n: int, l: int, c: int, x: tuple[int, ...],
@@ -199,9 +189,10 @@ def _ot_transcript(n: int, l: int, c: int, x: tuple[int, ...],
     subset of x, and hash the receiver's subset of x'."""
     f0 = sample_hash(n, l, rng)
     f1 = sample_hash(n, l, rng)
-    s0 = _hash_substring(f0, x, _subset_indices(theta, 0))
-    s1 = _hash_substring(f1, x, _subset_indices(theta, 1))
-    y = _hash_substring((f0, f1)[c], x_prime, _subset_indices(theta, c))
+    s0 = apply_hash(f0, [x[i] for i in _subset_indices(theta, 0)])
+    s1 = apply_hash(f1, [x[i] for i in _subset_indices(theta, 1)])
+    y = apply_hash((f0, f1)[c],
+                   [x_prime[i] for i in _subset_indices(theta, c)])
     return OtTranscript(n=n, l=l, c=c, x=x, theta=theta, x_prime=x_prime,
                         f0=f0, f1=f1, s0=s0, s1=s1, y=y, seed=int(seed),
                         epr=epr)
@@ -231,33 +222,31 @@ def run_epr_ot(n: int, l: int, c: int, seed: int) -> OtTranscript:
     """EPR variant of the honest run: the receiver measures halves of EPR
     pairs first, then the sender measures her halves in random bases.
 
-    Produces the same joint distribution of (x, x', theta) as run_ot.
+    Pair i takes two uniforms, for the receiver's x'_i (the pair's marginal)
+    and then the sender's x_i (epr_outcome_table); both laws are computed
+    once per run.  Same joint distribution of (x, x', theta) as run_ot.
     """
     n, l, c = int(n), int(l), int(c)
     if n < 1 or l < 1 or c not in (0, 1):
         raise ValueError("need n >= 1, l >= 1, c in {0, 1}")
     rng = np.random.default_rng(seed)
-    bases = qsim.standard_bases_qubit()[:2]
-    theta = tuple(int(v) for v in rng.integers(0, 2, size=n))
-    x, x_prime = [], []
-    for i in range(n):
-        pair = qsim.epr_pair()
-        probs, branches = qsim.measure(pair.to_density(), {1: bases[c]},
-                                       return_branches=True)
-        r_out = int(rng.random() < probs[(1,)])
-        x_prime.append(r_out)
-        residual = qsim.partial_trace(branches[(r_out,)], [0]).normalized()
-        s_probs = qsim.measure(residual, {0: bases[theta[i]]})
-        x.append(int(rng.random() < s_probs[(1,)]))
-    return _ot_transcript(n, l, c, tuple(x), theta, tuple(x_prime), rng,
-                          seed, epr=True)
+    theta = rng.integers(0, 2, size=n)
+    receiver = qsim.standard_bases_qubit()[c]
+    p1 = qsim.measure(qsim.epr_pair().to_density(), {1: receiver})[(1,)]
+    u = rng.random((n, 2))
+    x_prime = (u[:, 0] < p1).astype(int)
+    x = (u[:, 1] < epr_outcome_table(c)[theta, x_prime, 1]).astype(int)
+    return _ot_transcript(n, l, c, tuple(x.tolist()), tuple(theta.tolist()),
+                          tuple(x_prime.tolist()), rng, seed, epr=True)
 
 
 def epr_outcome_table(c: int) -> np.ndarray:
     """P(x | x', theta) for one EPR pair, receiver basis [+,x]_c.
 
-    Exact projector arithmetic; shape (2 thetas, 2 receiver outcomes,
-    2 sender outcomes).
+    Exact projector arithmetic: the receiver's outcome x' collapses the
+    sender's half, measured in [+,x]_theta.  Shape (2 thetas, 2 receiver
+    outcomes, 2 sender outcomes).  run_epr_ot and sample_epr_triples draw
+    the sender's bit from it.
     """
     comp, diag, _ = qsim.standard_bases_qubit()
     bases = (comp, diag)
@@ -552,13 +541,18 @@ class _Tableau:
     sender's substring on the positions with theta_i = b, first position
     most significant.  ``p`` is the (x0, x1, record) mass, ``w`` the memory
     operators |a><a| per (x0, x1, record), and ``codes[b][x]`` the x_b index
-    of the full n-bit string x.
+    of the full n-bit string x; w and codes are built when first read.
     """
 
     theta: tuple[int, ...]
     a: np.ndarray
     p: np.ndarray
-    codes: tuple[np.ndarray, np.ndarray]
+
+    @functools.cached_property
+    def codes(self) -> tuple[np.ndarray, np.ndarray]:
+        n = len(self.theta)
+        return tuple(_subset_codes(n, _subset_indices(self.theta, b))
+                     for b in (0, 1))
 
     @functools.cached_property
     def w(self) -> np.ndarray:
@@ -616,8 +610,7 @@ class _EprAttack:
             arr = np.transpose(rotated, tuple(i0) + tuple(i1) + self.register)
             a = np.ascontiguousarray(arr).reshape(
                 2 ** len(i0), 2 ** len(i1), self.k_dim, self.mem_dim)
-            yield _Tableau(theta, a, (np.abs(a) ** 2).sum(axis=3),
-                           (_subset_codes(n, i0), _subset_codes(n, i1)))
+            yield _Tableau(theta, a, (np.abs(a) ** 2).sum(axis=3))
 
     def min_entropy_alpha(self) -> float:
         """Exact min-entropy of the sender string given theta and the
@@ -929,8 +922,9 @@ def check_binding(committer: BoundedAdversary) -> BindingReport:
     k_dim, d = attack.k_dim, attack.mem_dim
     theta_prior = 2.0 ** (-n)
 
-    # basis-averaged opening operators [cond or unc, target t, record, x']
-    opening = np.zeros((2, 2, k_dim, 2 ** n, d, d), complex)
+    # basis-summed opening operators [cond or unc, target t, x', record],
+    # scaled by theta's prior 2^-n once at the end (exact)
+    opening = np.zeros((2, 2, 2 ** n, k_dim, d, d), complex)
     cond, unc = opening
     prob_bb = np.zeros(2)
 
@@ -945,10 +939,10 @@ def check_binding(committer: BoundedAdversary) -> BindingReport:
             prob_bb[1 - t] += theta_prior * float(mass[keep].sum())
             for acc, ops in ((cond[t], w * keep[None, :, :, None, None]),
                              (unc[t], w)):
-                acc += theta_prior * ops.sum(axis=1 - t)[
-                    tab.codes[t]].transpose(1, 0, 2, 3)
+                acc += ops.sum(axis=1 - t)[tab.codes[t]]
+    opening *= theta_prior
 
-    lower, upper = _povm_bracket(opening)
+    lower, upper = _povm_bracket(opening.swapaxes(2, 3))
     per_k_hi, open_hi = upper[0], upper[1].sum(axis=1)
 
     eps_raw = binding_error_bound(alpha, q)

@@ -25,8 +25,9 @@ from typing import Sequence
 
 import numpy as np
 
+from . import qsim
 from .distrib import binary_entropy
-from .hashing import ToeplitzHash, apply_hash_fft, sample_hash
+from .hashing import ToeplitzHash, apply_hash, sample_hash
 from .uncertainty import BasisSet
 
 MAX_SENT = 10 ** 6
@@ -156,17 +157,8 @@ def key_length_accounting(m: int, h: float, eps: float, q: int,
 def _outcome_probabilities(basis_set: BasisSet, p: float) -> np.ndarray:
     """P[measured bit = 1] indexed (send basis, sent bit, receive basis),
     after white noise calibrated to bit-flip rate p."""
-    bases = basis_set.bases
-    nb = len(bases)
-    pure = np.empty((nb, 2, nb))
-    for bs in range(nb):
-        for xv in range(2):
-            v = bases[bs].vector(xv)
-            for br in range(nb):
-                u1 = bases[br].vector(1)
-                pure[bs, xv, br] = abs(np.vdot(u1, v)) ** 2
     lam = 1.0 - 2.0 * p
-    return lam * pure + (1.0 - lam) / 2.0
+    return lam * qsim.outcome_table(basis_set.bases) + (1.0 - lam) / 2.0
 
 
 def _pack_int(bits: np.ndarray) -> int:
@@ -226,7 +218,7 @@ def run_qkd(basis_set: BasisSet, n_sent: int, channel: ChannelModel,
             mode: str = "ideal-reconciliation", seed: int = 0, *,
             eps: float = 1e-9, q: int = 0,
             max_sift: int | None = None) -> QkdRun:
-    """One full protocol execution.
+    """One full protocol execution over a qubit basis family.
 
     ideal-reconciliation hands the receiver the sender's sifted string and
     charges ceil(M * H_b(p)) bits of leakage; linear-syndrome sends an
@@ -245,6 +237,8 @@ def run_qkd(basis_set: BasisSet, n_sent: int, channel: ChannelModel,
         raise ValueError(f"unknown mode {mode!r}")
     if max_sift is not None and max_sift < 0:
         raise ValueError(f"max_sift must be non-negative, got {max_sift}")
+    if basis_set.dim != 2:
+        raise ValueError(f"qubit families only, got d = {basis_set.dim}")
     p = channel.p
     rng = np.random.default_rng(seed)
     nb = len(basis_set.bases)
@@ -299,8 +293,8 @@ def run_qkd(basis_set: BasisSet, n_sent: int, channel: ChannelModel,
     if l > 0 and m > 0:
         hash_used = sample_hash(m, l, rng)
         if decode_success:
-            key_a = apply_hash_fft(hash_used, x)
-            key_b = apply_hash_fft(hash_used, x_hat)
+            key_a = apply_hash(hash_used, x)
+            key_b = apply_hash(hash_used, x_hat)
     rate = l / m if m else 0.0
 
     return QkdRun(n_sent=n_sent, sifted=m, mode=mode, p=p, qber=qber,

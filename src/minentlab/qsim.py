@@ -2,11 +2,12 @@
 
 Dense state vectors and density operators over a list of subsystem
 dimensions, projective measurements with sub-normalized branch operators,
-partial trace, trace norms and trace distance, and Haar-random bases.
-Everything is exact at desk scale (up to roughly twelve qubits); there is no
-sparse or stabilizer path and no approximation anywhere.  Trace norms come
-from one batched kernel over stacks of Hermitian operators: closed forms for
-1x1 and 2x2 blocks, LAPACK eigvalsh above that.
+the prepare-and-measure outcome table of a qubit basis family, partial
+trace, trace norms and trace distance, and Haar-random bases.  Everything
+is exact at desk scale (up to roughly twelve qubits); there is no sparse or
+stabilizer path and no approximation anywhere.  Trace norms come from one
+batched kernel over stacks of Hermitian operators: closed forms for 1x1 and
+2x2 blocks, LAPACK eigvalsh above that.
 
 All functions are pure.  Randomness enters only through an explicitly passed
 ``numpy.random.Generator``.
@@ -456,6 +457,17 @@ def measure(state, bases: Mapping[int, Basis], return_branches: bool = False):
             t = _contract_axis(t, proj.T, i + n)  # rho P on the column side
         branches[outcome] = DensityOperator(dims, t.reshape(total, total), validate=False)
     return prob_map, branches
+
+
+def outcome_table(bases: Sequence[Basis]) -> np.ndarray:
+    """(|B|, 2, |B|) array whose entry (s, x, b) is |<b_1|s_x>|^2: P(outcome
+    1) when basis state x of qubit basis bases[s] is measured in bases[b],
+    as ``measure`` gives it for that one state.  Every honest run draws its
+    outcomes from this table."""
+    if any(b.dim != 2 for b in bases):
+        raise DimensionMismatchError("outcome_table takes qubit bases")
+    v = np.stack([b.vectors for b in bases])
+    return np.abs(np.einsum("bk,skx->sxb", v[:, :, 1].conj(), v)) ** 2
 
 
 def haar_random_basis(dim: int, rng: np.random.Generator) -> Basis:

@@ -4,9 +4,11 @@ Everything here is deliberately written through different algorithms and
 different libraries than the package code: scipy linprog for smoothing,
 numpy svd and a self-contained cyclic Jacobi eigensolver for spectra (the
 package itself uses closed forms and LAPACK eigvalsh), mpmath for
-high-precision scalars, and plain dictionary bookkeeping for protocol state
-enumeration.  Agreement between a package routine and its oracle is
-evidence, not tautology.
+high-precision scalars, Python-int row masks for Toeplitz hashing (the
+package uses numpy.fft), one qsim.measure call per qubit for honest runs
+(the package draws from one outcome table), and plain dictionary
+bookkeeping for protocol state enumeration.  Agreement between a package
+routine and its oracle is evidence, not tautology.
 """
 
 from __future__ import annotations
@@ -221,9 +223,61 @@ def min_average_entropy_oracle(bases, grid: int = 256,
     return best
 
 
+def apply_hash_rows(h, x) -> tuple[int, ...]:
+    """hashing.apply_hash through Python-int row masks: output bit i is the
+    parity of input & row i, the input read as an integer with its first bit
+    most significant (an integer input is taken as it is).  Same input rules
+    as apply_hash."""
+    n = h.input_bits
+    if isinstance(x, (int, np.integer)):
+        value = int(x)
+        if not 0 <= value < 1 << n:
+            raise ValueError(f"integer input must lie in [0, 2^{n})")
+    else:
+        xb = np.asarray(x, dtype=np.uint8)
+        bits = xb.tolist()
+        if xb.ndim != 1 or len(bits) > n or max(bits, default=0) > 1:
+            raise ValueError(f"input must be at most {n} bits")
+        value = int("0" + "".join(map(str, bits)), 2) << (n - len(bits))
+    return tuple((value & row).bit_count() & 1 for row in h.rows)
+
+
 # ---------------------------------------------------------------------------
 # Protocol-level enumeration oracles
 # ---------------------------------------------------------------------------
+
+def honest_run_oracle(n: int, b: int, seed: int, epr: bool = False):
+    """(x, theta, x') of an honest run, one qsim.measure per qubit or pair.
+
+    Replays the draws of protocols.run_ot and run_commit (x, theta, then one
+    uniform per qubit, sent in [+,x]_theta[i] and measured in [+,x]_b) or,
+    with ``epr``, of run_epr_ot (theta, then per EPR pair one uniform for
+    the receiver's outcome in [+,x]_b and one for the sender's in
+    [+,x]_theta[i], measured on the collapsed half).
+    """
+    bases = qsim.standard_bases_qubit()[:2]
+    rng = np.random.default_rng(seed)
+    if not epr:
+        x = tuple(int(v) for v in rng.integers(0, 2, size=n))
+        theta = tuple(int(v) for v in rng.integers(0, 2, size=n))
+        x_prime = []
+        for xi, ti in zip(x, theta):
+            sent = qsim.StateVector((2,), bases[ti].vector(xi))
+            probs = qsim.measure(sent, {0: bases[b]})
+            x_prime.append(int(rng.random() < probs[(1,)]))
+        return x, theta, tuple(x_prime)
+    theta = tuple(int(v) for v in rng.integers(0, 2, size=n))
+    x, x_prime = [], []
+    for ti in theta:
+        probs, branches = qsim.measure(qsim.epr_pair().to_density(),
+                                       {1: bases[b]}, return_branches=True)
+        r_out = int(rng.random() < probs[(1,)])
+        x_prime.append(r_out)
+        residual = qsim.partial_trace(branches[(r_out,)], [0]).normalized()
+        s_probs = qsim.measure(residual, {0: bases[ti]})
+        x.append(int(rng.random() < s_probs[(1,)]))
+    return tuple(x), theta, tuple(x_prime)
+
 
 def adversary_cq_table(adv):
     """Exact measurement records of a bounded receiver, state by state.
@@ -282,11 +336,19 @@ def sender_distance_oracle(adv, tau: float) -> tuple[float, float]:
     Iterates every basis string and every (f0, f1) pair of one-bit Toeplitz
     hashes, accumulates the classical-quantum branch operators of the real
     and idealized experiments, and sums trace-norm differences via SVD.
+    Hashes go through apply_hash_rows, memoised per (hash, substring).
     Also returns P[C' = 1].  Exponential everywhere: keep n <= 4.
     """
     n = adv.n
     _, mem_dim, table = adversary_cq_table(adv)
     family = hashing.enumerate_hash_family(n, 1)
+    memo = {}
+
+    def hashed(f, sub):
+        if (f, sub) not in memo:
+            memo[f, sub] = apply_hash_rows(f, sub)
+        return memo[f, sub]
+
     theta_prior = 2.0 ** (-n)
     x_prior = 2.0 ** (-n)
     pair_prior = 1.0 / len(family) ** 2
@@ -311,20 +373,22 @@ def sender_distance_oracle(adv, tau: float) -> tuple[float, float]:
         prob_c1 += theta_prior * sum(w for key, w in sub_mass.items()
                                      if split[key] == 1)
 
+        # (x0, x1, [(k, branch operator)]) per x; the same for every pair
+        branches = [(tuple(x[i] for i in i0), tuple(x[i] for i in i1),
+                     [(k, x_prior * np.outer(amp, amp.conj()))
+                      for k, amp in table[(x, theta)]])
+                    for x in itertools.product((0, 1), repeat=n)]
         for f0 in family:
             for f1 in family:
                 real = {}
                 ideal = {}
-                for x in itertools.product((0, 1), repeat=n):
-                    x0 = tuple(x[i] for i in i0)
-                    x1 = tuple(x[i] for i in i1)
-                    s0 = hashing.apply_hash(f0, np.array(x0, dtype=np.uint8))
-                    s1 = hashing.apply_hash(f1, np.array(x1, dtype=np.uint8))
-                    for k, amp in table[(x, theta)]:
+                for x0, x1, ops in branches:
+                    s0 = hashed(f0, x0)
+                    s1 = hashed(f1, x1)
+                    for k, op in ops:
                         c = split[(x1, k)]
                         kept_s = s1 if c == 1 else s0
                         other_s = s0 if c == 1 else s1
-                        op = x_prior * np.outer(amp, amp.conj())
                         key = (c, kept_s, other_s, k)
                         real[key] = real.get(key, 0.0) + op
                         for guess in ((0,), (1,)):

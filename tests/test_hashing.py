@@ -61,8 +61,8 @@ def test_apply_hash_forms_agree():
 
 
 def test_apply_hash_matches_reference_any_length():
-    # Python-int row masks serve inputs past 64 bits; short inputs only
-    # reach the leading columns, and the empty input hashes to zeros
+    # the FFT product serves inputs past 64 bits; short inputs only reach
+    # the leading columns, and the empty input hashes to zeros
     rng = np.random.default_rng(21)
     for n in (1, 8, 63, 64, 100):
         for l in sorted({1, min(n, 5), n}):
@@ -79,18 +79,19 @@ def test_apply_hash_matches_reference_any_length():
 
 
 def test_fft_path_matches_direct():
+    # apply_hash (numpy.fft) against the Python-int row-mask reference
     rng = np.random.default_rng(8)
     for _ in range(20):
         n = int(rng.integers(4, 40))
         l = int(rng.integers(1, 10))
         h = hashing.sample_hash(n, l, rng)
         x = rng.integers(0, 2, size=int(rng.integers(1, n + 1)))
-        assert hashing.apply_hash_fft(h, x) == apply_hash(h, x)
+        assert apply_hash(h, x) == oracles.apply_hash_rows(h, x)
     # the QKD size: a 30000-bit sifted key hashed to 1000 bits, full and short
     h = hashing.sample_hash(30000, 1000, rng)
     for size in (30000, 17321):
         x = rng.integers(0, 2, size=size)
-        assert hashing.apply_hash_fft(h, x) == apply_hash(h, x), size
+        assert apply_hash(h, x) == oracles.apply_hash_rows(h, x), size
 
 
 def test_hex_round_trip():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,24 @@ def test_run_epr_ot_same_semantics():
         for i in (t.i0, t.i1)[t.c]:
             assert t.x_prime[i] == t.x[i]
         assert t.y == (t.s0, t.s1)[t.c]
+
+
+def test_honest_runs_match_per_qubit_reference():
+    # the runs draw every outcome from one table; the reference replays
+    # their draws with one qsim.measure per qubit (or EPR pair)
+    for seed in range(21):
+        for n in (1, 8, 30):
+            for c in (0, 1):
+                want = oracles.honest_run_oracle(n, c, seed)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # l > n/2
+                    ot = protocols.run_ot(n, 1, c, seed)
+                assert (ot.x, ot.theta, ot.x_prime) == want
+                com = protocols.run_commit(n, c, seed)
+                assert (com.x, com.theta, com.x_prime) == want
+                epr = protocols.run_epr_ot(n, 1, c, seed)
+                assert (epr.x, epr.theta, epr.x_prime) == (
+                    oracles.honest_run_oracle(n, c, seed, epr=True))
 
 
 def test_epr_outcome_table_exact():

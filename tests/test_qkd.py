@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import oracles
-from minentlab import qkd
+from minentlab import qkd, qsim
 from minentlab.distrib import binary_entropy
-from minentlab.uncertainty import bb84_basis_set, six_state_basis_set
+from minentlab.uncertainty import (BasisSet, bb84_basis_set,
+                                   six_state_basis_set)
 
 
 # ---------------------------------------------------------- channel and rates
@@ -120,6 +121,17 @@ def test_run_input_gates():
         qkd.run_qkd(sb, 100, ch, mode="syndrome")
     with pytest.raises(ValueError):
         qkd.run_qkd(sb, 100, ch, max_sift=-5)   # would drop the last bits
+
+
+def test_run_refuses_non_qubit_families():
+    # the white-noise channel and qsim.outcome_table are for qubits; two
+    # Haar qutrit bases with a supplied h = 1.5 used to give a 1453-bit key
+    # from 1009 sifted bits
+    rng = np.random.default_rng(1)
+    qutrits = BasisSet([qsim.haar_random_basis(3, rng) for _ in range(2)],
+                       1.5, "supplied")
+    with pytest.raises(ValueError, match="qubit families"):
+        qkd.run_qkd(qutrits, 2000, qkd.ChannelModel(0.0), seed=1)
 
 
 def test_empty_sift_run():

@@ -229,6 +229,21 @@ def test_measure_partial_register():
     assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_outcome_table_matches_measure():
+    rng = np.random.default_rng(4)
+    for bases in (qsim.standard_bases_qubit(),
+                  [qsim.haar_random_basis(2, rng) for _ in range(4)]):
+        table = qsim.outcome_table(bases)
+        assert table.shape == (len(bases), 2, len(bases))
+        for (s, sb), x, (b, bb) in itertools.product(
+                enumerate(bases), (0, 1), enumerate(bases)):
+            sent = qsim.StateVector((2,), sb.vector(x))
+            want = qsim.measure(sent, {0: bb})[(1,)]
+            assert table[s, x, b] == pytest.approx(want, abs=1e-15)
+    with pytest.raises(qsim.DimensionMismatchError):
+        qsim.outcome_table([qsim.haar_random_basis(3, rng)])
+
+
 def test_basis_string_walk_order_values_and_contraction_count(monkeypatch):
     comp, diag, circ = qsim.standard_bases_qubit()
     contract = qsim._contract_axis
