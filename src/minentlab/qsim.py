@@ -6,8 +6,9 @@ the prepare-and-measure outcome table of a qubit basis family, partial
 trace, trace norms and trace distance, and Haar-random bases.  Everything
 is exact at desk scale (up to roughly twelve qubits); there is no sparse or
 stabilizer path and no approximation anywhere.  Trace norms come from one
-batched kernel over stacks of Hermitian operators: closed forms for 1x1 and
-2x2 blocks, LAPACK eigvalsh above that.
+batched kernel over stacks of Hermitian operators: one closed form for 1x1
+and 2x2 blocks, LAPACK eigvalsh above that; the closed form also reads the
+operators' real coordinates.
 
 All functions are pure.  Randomness enters only through an explicitly passed
 ``numpy.random.Generator``.
@@ -219,8 +220,12 @@ def epr_pair() -> StateVector:
 # builds a stack of Hermitian operators and hands it over in one call.  The
 # public entries below validate Hermiticity first; package code calls the
 # kernel directly on operators that are Hermitian by construction, so hot
-# loops do not pay for the check.  Tests pin both against SVD and against an
-# independent Jacobi eigensolver.
+# loops do not pay for the check.  For D <= 2 it is one closed form,
+# `_gap_trace_norms`, shared with `_coordinate_trace_norms`, which takes
+# the operators as real coordinates instead (the sender distance
+# transforms those in float64 and builds no complex operator); above that,
+# eigvalsh.  Tests pin every entry against SVD and against an independent
+# Jacobi eigensolver.
 # ---------------------------------------------------------------------------
 
 def _require_hermitian(a: np.ndarray) -> None:
@@ -249,21 +254,101 @@ def hermitian_eigenvalues(matrix) -> np.ndarray:
 def _trace_norms(mats: np.ndarray) -> np.ndarray:
     """tr|M| for each matrix of a Hermitian (..., D, D) stack, unchecked.
 
-    D=1 and D=2 are closed forms: for D=2, tr|M| = max(|tr M|,
-    sqrt(tr^2 - 4 det)), the first when M is semidefinite and the second
-    (the eigenvalue gap) when it is indefinite.  Larger D sums the absolute
-    eigenvalues from eigvalsh.
+    D=1 is |m|.  D=2 is the closed form of `_gap_trace_norms`: for
+    M = [[a, c], [c*, b]] the trace is a + b and the squared gap
+    (a - b)^2 + 4|c|^2, the real coordinates below without stacking them.
+    Larger D sums the absolute eigenvalues from eigvalsh.
     """
     d = mats.shape[-1]
     if d == 1:
         return np.abs(mats[..., 0, 0].real)
     if d == 2:
-        a, b = mats[..., 0, 0].real, mats[..., 1, 1].real
-        tr = a + b
-        det = a * b - np.abs(mats[..., 0, 1]) ** 2
-        gap = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
-        return np.maximum(np.abs(tr), gap)
+        a, b, c = mats[..., 0, 0].real, mats[..., 1, 1].real, mats[..., 0, 1]
+        gap_sq = np.subtract(a, b, out=np.empty(a.shape))
+        gap_sq *= gap_sq
+        off = c.real * c.real
+        off += c.imag * c.imag
+        off *= 4.0
+        gap_sq += off
+        return _gap_trace_norms(a + b, gap_sq)
     return np.abs(np.linalg.eigvalsh(mats)).sum(axis=-1)
+
+
+def _gap_trace_norms(trace: np.ndarray, gap_sq: np.ndarray) -> np.ndarray:
+    """tr|M| = max(|tr M|, |gap|) of Hermitian operators with D <= 2, from
+    their traces and squared gap vectors (overwritten): the first when M is
+    semidefinite, the second (its eigenvalue gap) when it is indefinite."""
+    np.sqrt(gap_sq, out=gap_sq)
+    return np.maximum(np.abs(trace), gap_sq, out=gap_sq)
+
+
+# Real coordinates of Hermitian D x D operators: a float64 array whose
+# FIRST axis holds the coordinates of the operators indexed by the rest.
+# They are linear in the operator, so a real transform over the stack axes
+# (a Hadamard, a sum) acts on them as on the operators, in float64
+# arithmetic, and each coordinate is one contiguous plane:
+#   D = 1: (m,), the one entry;
+#   D = 2: (a + b, a - b, 2 Re c, 2 Im c) for M = [[a, c], [c*, b]], the
+#          trace and the gap vector: M = (tr I + gap . sigma) / 2, whose
+#          eigenvalues are (tr +- |gap|) / 2;
+#   D > 2: the float64 view of the complex matrix, 2 D^2 numbers.
+
+def _coordinates(mats: np.ndarray) -> np.ndarray:
+    """Real coordinates (C, ...) of a Hermitian (..., D, D) stack."""
+    d = mats.shape[-1]
+    if d == 1:
+        return mats[None, ..., 0, 0].real
+    if d == 2:
+        a, b, c = mats[..., 0, 0].real, mats[..., 1, 1].real, mats[..., 0, 1]
+        return np.stack((a + b, a - b, 2.0 * c.real, 2.0 * c.imag))
+    flat = np.ascontiguousarray(mats, dtype=np.complex128).view(np.float64)
+    return np.ascontiguousarray(np.moveaxis(
+        flat.reshape(mats.shape[:-2] + (2 * d * d,)), -1, 0))
+
+
+def _outer_coordinates(amps: np.ndarray) -> np.ndarray:
+    """Real coordinates (C, ...) of |a><a| for an (..., D) stack of
+    amplitude vectors, C-contiguous in the stack's axis order whatever its
+    strides.  For D <= 2 they come from the real and imaginary parts, with
+    no complex operator built."""
+    d = amps.shape[-1]
+    if d > 2:
+        return _coordinates(amps[..., :, None] * amps[..., None, :].conj())
+    re, im = np.moveaxis(amps.real, -1, 0), np.moveaxis(amps.imag, -1, 0)
+    out = np.empty((d * d,) + amps.shape[:-1])
+    if d == 1:
+        np.multiply(re[0], re[0], out=out[0])
+        out[0] += im[0] * im[0]
+        return out
+    mass0 = re[0] * re[0] + im[0] * im[0]
+    mass1 = re[1] * re[1] + im[1] * im[1]
+    np.add(mass0, mass1, out=out[0])
+    np.subtract(mass0, mass1, out=out[1])
+    np.multiply(re[0], re[1], out=out[2])
+    out[2] += im[0] * im[1]
+    out[2] *= 2.0
+    np.multiply(im[0], re[1], out=out[3])
+    out[3] -= re[0] * im[1]
+    out[3] *= 2.0
+    return out
+
+
+def _coordinate_trace_norms(coords: np.ndarray) -> np.ndarray:
+    """tr|M| for each operator of a (C, ...) coordinate array (C = 1, 4 or
+    2 D^2 for D = 1, 2 or D > 2), unchecked.  D = 2 is the closed form of
+    `_gap_trace_norms`, D = 1 the same with no gap; larger D goes to
+    `_trace_norms` on the complex matrices."""
+    size = coords.shape[0]
+    if size == 1:
+        return np.abs(coords[0])
+    if size == 4:
+        gap_sq = coords[1] * coords[1]
+        gap_sq += coords[2] * coords[2]
+        gap_sq += coords[3] * coords[3]
+        return _gap_trace_norms(coords[0], gap_sq)
+    d = math.isqrt(size // 2)
+    mats = np.ascontiguousarray(np.moveaxis(coords, 0, -1)).view(np.complex128)
+    return _trace_norms(mats.reshape(coords.shape[1:] + (d, d)))
 
 
 def _operand_matrix(x) -> tuple[tuple[int, ...] | None, np.ndarray]:

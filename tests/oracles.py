@@ -6,9 +6,11 @@ numpy svd and a self-contained cyclic Jacobi eigensolver for spectra (the
 package itself uses closed forms and LAPACK eigvalsh), mpmath for
 high-precision scalars, Python-int row masks for Toeplitz hashing (the
 package uses numpy.fft), one qsim.measure call per qubit for honest runs
-(the package draws from one outcome table), and plain dictionary
-bookkeeping for protocol state enumeration.  Agreement between a package
-routine and its oracle is evidence, not tautology.
+(the package draws from one outcome table), complex memory operators and
+complex transforms for the family-averaged sender distance (the package
+transforms real coordinates), and plain dictionary bookkeeping for
+protocol state enumeration.  Agreement between a package routine and its
+oracle is evidence, not tautology.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import mpmath
 import numpy as np
 from scipy.optimize import linprog, minimize
 
-from minentlab import hashing, qsim
+from minentlab import hashing, protocols, qsim
 
 
 def lp_smooth_cap(weights, group_mass, eps: float) -> float:
@@ -400,6 +402,46 @@ def sender_distance_oracle(adv, tau: float) -> tuple[float, float]:
                             - ideal.get(key, np.zeros((mem_dim, mem_dim))))
                     branch_sum += trace_norm_svd(diff)
                 total += theta_prior * pair_prior * 0.5 * branch_sum
+    return total, prob_c1
+
+
+def family_average_distance_complex(attack, tau: float
+                                    ) -> tuple[float, float]:
+    """Family-averaged real-vs-ideal distance, exact, for one-bit hashes.
+
+    Per basis string the masked post-measurement operators are transformed
+    over both substring indices with Sylvester-Hadamard matrices; each
+    frequency pair contributes two trace norms.  The identity behind this:
+    a uniformly drawn one-bit GF(2)-linear hash of an m-bit string is the
+    character family, so averaging the branch distances over the family is
+    the same as averaging transform magnitudes over frequencies.
+
+    A mid-size reference in complex arithmetic: full complex memory
+    operators, complex tensordots, both transforms per mask.  Same identity
+    as the package, other arithmetic; reaches n = 7 in seconds where
+    sender_distance_oracle stops at n = 4.
+    """
+    hadamard = protocols.hadamard
+    total = 0.0
+    prob_c1 = 0.0
+    theta_prior = freq_prior = 2.0 ** (-attack.n)
+    for tab in attack.tableaux():
+        mask1 = tab.heavy(tau)
+        w = tab.w
+        prob_c1 += theta_prior * float(tab.p.sum(axis=0)[mask1].sum())
+        h0 = hadamard(w.shape[0])
+        h1 = hadamard(w.shape[1])
+        for uniform_axis, mask in ((0, mask1), (1, ~mask1)):
+            wm = w * mask[None, :, :, None, None]
+            t = np.tensordot(h0, wm, axes=(1, 0))       # (a0, x1, k, i, j)
+            b2 = np.tensordot(h1, t, axes=(1, 1))       # (a1, a0, k, i, j)
+            if uniform_axis == 0:
+                ref = b2[0:1]          # frequency 0 on the x1 side
+            else:
+                ref = b2[:, 0:1]       # frequency 0 on the x0 side
+            part = (qsim._trace_norms(ref + b2).sum()
+                    + qsim._trace_norms(ref - b2).sum())
+            total += theta_prior * freq_prior * 0.25 * float(part)
     return total, prob_c1
 
 

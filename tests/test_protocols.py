@@ -302,6 +302,10 @@ def test_sender_distance_matches_oracle():
     u = np.linalg.qr(rng.normal(size=(16, 16))
                      + 1j * rng.normal(size=(16, 16)))[0]
     cases.append(BoundedAdversary("haar", 3, kept=(0,), ancillas=1, unitary=u))
+    # q = 2: 4x4 memory operators, the float64-view coordinates
+    cases.append(product_adversary("q2", 3, {1: "x"}, kept=(0, 2)))
+    cases.append(product_adversary("q2b", 4, {0: "x", 3: "breidbart"},
+                                   kept=(1, 2)))
     for adv in cases:
         attack = protocols._EprAttack(adv)
         alpha = attack.min_entropy_alpha()
@@ -310,6 +314,41 @@ def test_sender_distance_matches_oracle():
         oracle_d, oracle_p = oracles.sender_distance_oracle(adv, tau)
         assert engine_d == pytest.approx(oracle_d, abs=1e-9), adv.name
         assert engine_p == pytest.approx(oracle_p, abs=1e-9), adv.name
+
+
+def test_sender_distance_matches_complex_reference():
+    # mid-size cases beyond the enumeration oracle (n <= 4): the complex
+    # transform path of tests/oracles.py, the same identity in other
+    # arithmetic
+    cases = [make(n) for n in (5, 6, 7)
+             for make in (all_plus, store_one_diag, all_breidbart)]
+    cases.append(product_adversary(
+        "q2", 6, {0: "x", 1: "+", 3: "breidbart", 5: "x"}, kept=(2, 4)))
+    rng = np.random.default_rng(31)
+    u = np.linalg.qr(rng.normal(size=(64, 64))
+                     + 1j * rng.normal(size=(64, 64)))[0]
+    cases.append(BoundedAdversary("haar", 5, kept=(3,), ancillas=1, unitary=u))
+    for adv in cases:
+        attack = protocols._EprAttack(adv)
+        tau = 2.0 ** (-attack.min_entropy_alpha() / 2.0)
+        engine = protocols._family_average_distance(attack, tau)
+        reference = oracles.family_average_distance_complex(attack, tau)
+        for got, want in zip(engine, reference):
+            assert want > 0.0, adv.name
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0), adv.name
+
+
+def test_sender_check_builds_no_complex_operator_for_q_le_1(monkeypatch):
+    # q <= 1 sender checks run on real coordinates only; the binding check
+    # still reads the complex memory operators, so it trips the patch
+    def forbidden(tab):
+        raise AssertionError("complex memory operators built")
+
+    monkeypatch.setattr(protocols._Tableau, "w", property(forbidden))
+    for adv in (all_plus(5), store_one_diag(5)):
+        protocols.check_sender_security(adv)
+    with pytest.raises(AssertionError, match="complex memory operators"):
+        protocols.check_binding(store_one_diag(5))
 
 
 def test_sender_report_all_plus_closed_form():

@@ -106,20 +106,42 @@ def _kernel_cases(d: int, rng) -> np.ndarray:
 
 
 def test_trace_norm_stacks_match_oracles():
-    """The batched kernel on (..., D, D) stacks, D = 1 to 4, against SVD and
-    against the Jacobi spectrum, matrix by matrix."""
+    """The batched kernel on (..., D, D) stacks, D = 1 to 4, and the same
+    stacks through their real coordinates, against SVD and against the
+    Jacobi spectrum, matrix by matrix."""
     rng = np.random.default_rng(23)
     for d in (1, 2, 3, 4):
         h = _kernel_cases(d, rng)
         got = qsim.trace_norm(h)
-        assert got.shape == (3, 5)
+        coords = qsim._coordinates(h)
+        assert coords.shape == ((1, 4, 18, 32)[d - 1], 3, 5)
+        by_coords = qsim._coordinate_trace_norms(coords)
+        assert got.shape == by_coords.shape == (3, 5)
         for idx in np.ndindex(3, 5):
             svd = oracles.trace_norm_svd(h[idx])
             jac = float(np.abs(oracles.jacobi_eigenvalues(h[idx])).sum())
-            assert got[idx] == pytest.approx(svd, rel=1e-12, abs=1e-14), (d, idx)
-            assert got[idx] == pytest.approx(jac, rel=1e-12, abs=1e-14), (d, idx)
+            for norm in (got[idx], by_coords[idx]):
+                assert norm == pytest.approx(svd, rel=1e-12, abs=1e-14), (d, idx)
+                assert norm == pytest.approx(jac, rel=1e-12, abs=1e-14), (d, idx)
             assert qsim.trace_norm(h[idx]) == got[idx]
         assert np.array_equal(qsim._trace_norms(h), got)
+
+
+def test_outer_coordinates_match_operator_coordinates():
+    """Coordinates of |a><a| from the amplitudes equal those of the built
+    operator, for any strides of the amplitude stack."""
+    rng = np.random.default_rng(29)
+    for d in (1, 2, 4):
+        amps = rng.normal(size=(3, 5, d)) + 1j * rng.normal(size=(3, 5, d))
+        for view in (amps, amps.swapaxes(0, 1)):
+            ops = np.einsum("...i,...j->...ij", view, view.conj())
+            got = qsim._outer_coordinates(view)
+            assert got.flags.c_contiguous, d
+            assert np.allclose(got, qsim._coordinates(ops),
+                               rtol=1e-14, atol=1e-15), d
+            assert np.allclose(qsim._coordinate_trace_norms(got),
+                               (np.abs(view) ** 2).sum(axis=-1),
+                               rtol=1e-14, atol=1e-15), d
 
 
 def test_public_spectral_entries_reject_non_hermitian():
