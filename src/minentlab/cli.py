@@ -302,6 +302,9 @@ def cmd_verify(args) -> tuple[dict, list[dict]]:
     elif args.kind == "chain-rule":
         config.update({"nx": args.nx, "ny": args.ny, "eps": args.eps,
                        "epsPrime": args.eps_prime, "seed": args.seed})
+        if args.nx * args.ny > distrib.MAX_JOINT_ATOMS:
+            raise ValueError("joint too large "
+                             f"(nx * ny <= {distrib.MAX_JOINT_ATOMS})")
         rng = np.random.default_rng(args.seed)
         w = rng.random((args.nx, args.ny))
         w /= w.sum()
@@ -313,6 +316,9 @@ def cmd_verify(args) -> tuple[dict, list[dict]]:
                              holds=rep.holds, nearEquality=rep.near_equality))
     elif args.kind == "splitting":
         config.update({"size": args.size, "seed": args.seed})
+        if args.size ** 2 > distrib.MAX_JOINT_ATOMS:
+            raise ValueError("joint too large "
+                             f"(size^2 <= {distrib.MAX_JOINT_ATOMS})")
         rng = np.random.default_rng(args.seed)
         w = rng.random((args.size, args.size))
         w /= w.sum()

@@ -19,6 +19,10 @@ import numpy as np
 from .distrib import PreconditionError, _entropy_bits, smooth_min_entropy
 
 SLACK = 1e-9
+# Size gates: atoms of an enumerated sequence joint, k^n; trials of the
+# Monte-Carlo Azuma check, each one integer sample.
+MAX_SEQUENCE_ATOMS = 2_000_000
+MAX_AZUMA_TRIALS = 10_000_000
 
 
 class EntropyFloorViolation(PreconditionError):
@@ -41,7 +45,8 @@ class SequenceModel:
         reachable history.
     markov_order:
         When not None, ``cond`` only depends on the last ``markov_order``
-        symbols; enables the vectorized enumeration path.
+        symbols, and the enumeration calls it once per such suffix instead
+        of once per reachable history.
     """
 
     alphabet_size: int
@@ -124,8 +129,8 @@ def azuma_empirical_tail(lam: float, n: int, trials: int,
     """Monte-Carlo frequency of sum(R_i) >= lam*n for fair +-1 coins."""
     if not (0.0 < lam <= 1.0):
         raise ValueError("lam must lie in (0, 1]")
-    if int(trials) < 1:
-        raise ValueError("need trials >= 1")
+    if not 1 <= int(trials) <= MAX_AZUMA_TRIALS:
+        raise ValueError(f"need 1 <= trials <= {MAX_AZUMA_TRIALS}")
     heads = rng.binomial(int(n), 0.5, size=int(trials))
     sums = 2 * heads - int(n)
     return float(np.count_nonzero(sums >= lam * n)) / float(trials)
@@ -151,55 +156,34 @@ def dependent_sequence_epsilon(lam: float, n: int, alphabet_size: int) -> float:
 def _enumerate_joint(model: SequenceModel, n: int) -> np.ndarray:
     """Exact joint over all strings of length n, flat array of size k^n.
 
-    Checks the entropy floor at every reachable history along the way and
-    raises EntropyFloorViolation on the first failure.
+    Symbol by symbol, ``cond`` is called once per state of positive mass
+    (the history, or its last ``markov_order`` symbols), its row checked
+    against the entropy floor (EntropyFloorViolation on the first failure)
+    and multiplied onto every history in that state.
     """
     k = model.alphabet_size
     floor = model.entropy_floor
-
-    def check_row(row: np.ndarray, history) -> None:
-        if _entropy_bits(row) < floor - SLACK:
-            raise EntropyFloorViolation(
-                f"H = {_entropy_bits(row):.9f} < floor {floor} at history {history!r}")
-
-    if model.markov_order is not None and model.markov_order <= 3:
-        # joint flat index is (z_1 .. z_i) base k with z_i least significant,
-        # so the trailing `m` symbols are exactly the index modulo k^m
-        order = model.markov_order
-        probs = np.ones(1)
-        for step in range(n):
-            m = min(step, order)
-            n_states = k ** m
-            state_mass = probs.reshape(-1, n_states).sum(axis=0)
-            rows = np.empty((n_states, k))
-            for s_idx in range(n_states):
-                state = tuple((s_idx // k ** (m - 1 - j)) % k for j in range(m))
-                row = model.distribution_row(state)
-                if state_mass[s_idx] > 0.0:
-                    check_row(row, state)
-                rows[s_idx] = row
-            probs = (probs.reshape(-1, n_states, 1) * rows[None, :, :]).reshape(-1)
-        return probs
-
-    # generic path: depth-first over reachable histories only
-    joint = np.zeros(k ** n)
-    strides = [k ** (n - 1 - i) for i in range(n)]
-    stack: list[tuple[tuple, float]] = [((), 1.0)]
-    while stack:
-        history, p = stack.pop()
-        row = model.distribution_row(history)
-        check_row(row, history)
-        depth = len(history)
-        for s in range(k):
-            q = p * float(row[s])
-            if q <= 0.0:
+    # joint flat index is (z_1 .. z_i) base k with z_i least significant,
+    # so the trailing `m` symbols are exactly the index modulo k^m
+    order = n if model.markov_order is None else model.markov_order
+    probs = np.ones(1)
+    for step in range(n):
+        m = min(step, order)
+        n_states = k ** m
+        state_mass = probs.reshape(-1, n_states).sum(axis=0)
+        rows = np.zeros((n_states, k))
+        for s_idx in range(n_states):
+            if state_mass[s_idx] <= 0.0:
                 continue
-            if depth + 1 == n:
-                idx = sum(sym * strides[i] for i, sym in enumerate(history + (s,)))
-                joint[idx] = q
-            else:
-                stack.append((history + (s,), q))
-    return joint
+            state = tuple((s_idx // k ** (m - 1 - j)) % k for j in range(m))
+            row = model.distribution_row(state)
+            if _entropy_bits(row) < floor - SLACK:
+                raise EntropyFloorViolation(
+                    f"H = {_entropy_bits(row):.9f} < floor {floor} "
+                    f"at history {state!r}")
+            rows[s_idx] = row
+        probs = (probs.reshape(-1, n_states, 1) * rows[None, :, :]).reshape(-1)
+    return probs
 
 
 @dataclass(frozen=True)
@@ -225,16 +209,18 @@ def verify_dependent_sequence_bound(model: SequenceModel, n: int,
                                     lam: float) -> SequenceBoundReport:
     """Exact verification of H_inf^eps(Z_1..Z_n) >= (h - 2 lambda) n.
 
-    Enumerates the full joint (k^n atoms; keep k^n <= ~10^6), computes the
-    smooth min-entropy at eps = dependent_sequence_epsilon(lam, n, k), and
-    compares.  Raises EntropyFloorViolation when the model's declared floor
+    Enumerates the full joint (k^n atoms, at most MAX_SEQUENCE_ATOMS),
+    computes the smooth min-entropy at eps = dependent_sequence_epsilon(lam,
+    n, k), and compares.  Raises EntropyFloorViolation when the model's declared floor
     fails at a reachable history (a precondition failure, not a violation of
     the claim).
     """
     n = int(n)
     k = model.alphabet_size
-    if k ** n > 2_000_000:
-        raise ValueError(f"k^n = {k**n} too large for exact enumeration")
+    # k >= 2, so capping n at the gate's bit length keeps the verdict
+    if k ** min(n, MAX_SEQUENCE_ATOMS.bit_length()) > MAX_SEQUENCE_ATOMS:
+        raise ValueError(f"k^n = {k}^{n} exceeds {MAX_SEQUENCE_ATOMS} atoms "
+                         "for exact enumeration")
     eps = dependent_sequence_epsilon(lam, n, k)
     joint = _enumerate_joint(model, n)
     total = float(joint.sum())

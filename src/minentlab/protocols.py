@@ -17,10 +17,13 @@ opening; no sampling enters any security figure.
 
 Every adversary figure reads one object per announced basis string, the
 attack tableau: the post-measurement amplitudes indexed by the sender's two
-basis substrings, the record and the memory, with their masses and memory
-operators.  `_EprAttack.tableaux` is the only loop over basis strings; the
-exact min-entropy, the sender distance and the binding operators each make
-one pass over it.  It walks the strings with `qsim.basis_string_walk`,
+basis substrings, the record and the memory, with their masses.
+`_EprAttack.tableaux` is the only loop over basis strings; the exact
+min-entropy, the sender distance and the binding operators each make one
+pass over it.  The last two read the memory operators |a><a| as real
+coordinates (`qsim._outer_coordinates`): the sender distance transforms
+them, the binding check sums them and builds complex matrices once, for
+the POVM solver.  The tableaux come from one `qsim.basis_string_walk`,
 which rotates each prefix once and shares it: about one Hadamard
 contraction per basis string, with at most n + 1 rotated tensors live.
 
@@ -251,8 +254,8 @@ def epr_outcome_table(c: int) -> np.ndarray:
 
     Exact projector arithmetic: the receiver's outcome x' collapses the
     sender's half, measured in [+,x]_theta.  Shape (2 thetas, 2 receiver
-    outcomes, 2 sender outcomes).  run_epr_ot and sample_epr_triples draw
-    the sender's bit from it.
+    outcomes, 2 sender outcomes).  run_epr_ot draws the sender's bit from
+    it.
     """
     comp, diag, _ = qsim.standard_bases_qubit()
     bases = (comp, diag)
@@ -266,22 +269,6 @@ def epr_outcome_table(c: int) -> np.ndarray:
             table[t, xp, 0] = out[(0,)]
             table[t, xp, 1] = out[(1,)]
     return table
-
-
-def sample_epr_triples(n: int, c: int, runs: int, seed: int):
-    """Vectorized sampler of (x, x', theta) for `runs` EPR-mode executions.
-
-    Same per-qubit conditional law as run_epr_ot (the table comes from the
-    identical projector arithmetic), batched for statistical tests.
-    Returns integer arrays (runs, n) for x, x_prime and theta.
-    """
-    rng = np.random.default_rng(seed)
-    table = epr_outcome_table(c)
-    theta = rng.integers(0, 2, size=(runs, n))
-    x_prime = rng.integers(0, 2, size=(runs, n))
-    p1 = table[theta, x_prime, 1]
-    x = (rng.random(size=(runs, n)) < p1).astype(np.int64)
-    return x, x_prime, theta
 
 
 # ---------------------------------------------------------------------------
@@ -545,9 +532,9 @@ class _Tableau:
 
     ``a`` holds the amplitudes indexed (x0, x1, record, memory): x_b is the
     sender's substring on the positions with theta_i = b, first position
-    most significant.  ``p`` is the (x0, x1, record) mass, ``w`` the memory
-    operators |a><a| per (x0, x1, record), and ``codes[b][x]`` the x_b index
-    of the full n-bit string x; w and codes are built when first read.
+    most significant.  ``p`` is the (x0, x1, record) mass and
+    ``codes[b][x]`` the x_b index of the full n-bit string x, built when
+    first read.
     """
 
     theta: tuple[int, ...]
@@ -559,10 +546,6 @@ class _Tableau:
         n = len(self.theta)
         return tuple(_subset_codes(n, _subset_indices(self.theta, b))
                      for b in (0, 1))
-
-    @functools.cached_property
-    def w(self) -> np.ndarray:
-        return np.einsum("abki,abkj->abkij", self.a, self.a.conj())
 
     def heavy(self, tau: float) -> np.ndarray:
         """Boolean (2^m1, record) mask of atoms whose diagonal-subset string
@@ -938,17 +921,19 @@ def check_binding(committer: BoundedAdversary) -> BindingReport:
     n, q = committer.n, committer.q
     alpha = attack.min_entropy_alpha()
     tau = 2.0 ** (-alpha / 2.0)
-    k_dim, d = attack.k_dim, attack.mem_dim
+    k_dim = attack.k_dim
     theta_prior = 2.0 ** (-n)
 
-    # basis-summed opening operators [cond or unc, target t, x', record],
-    # scaled by theta's prior 2^-n once at the end (exact)
-    opening = np.zeros((2, 2, 2 ** n, k_dim, d, d), complex)
-    cond, unc = opening
+    # real coordinates of the basis-summed opening operators [cond or unc,
+    # target t, coordinate, x', record], scaled by theta's prior 2^-n once
+    # at the end (exact); sized from the first string's coordinates
+    opening = None
     prob_bb = np.zeros(2)
 
     for tab in attack.tableaux():
-        w = tab.w
+        coords = qsim._outer_coordinates(tab.a)          # (c, x0, x1, k)
+        if opening is None:
+            opening = np.zeros((2, 2, len(coords), 2 ** n, k_dim))
         mask1 = tab.heavy(tau)
         mass = tab.p.sum(axis=0)
         # bound bit 1 - t leaves subset t as the hard target: group by x_t
@@ -956,12 +941,14 @@ def check_binding(committer: BoundedAdversary) -> BindingReport:
         # openings ignore the split bit
         for t, keep in ((0, mask1), (1, ~mask1)):
             prob_bb[1 - t] += theta_prior * float(mass[keep].sum())
-            for acc, ops in ((cond[t], w * keep[None, :, :, None, None]),
-                             (unc[t], w)):
-                acc += ops.sum(axis=1 - t)[tab.codes[t]]
+            for acc, ops in ((opening[0, t], coords * keep),
+                             (opening[1, t], coords)):
+                acc += ops.sum(axis=2 - t)[:, tab.codes[t]]
     opening *= theta_prior
 
-    lower, upper = _povm_bracket(opening.swapaxes(2, 3))
+    # complex (record, x') stacks of D x D operators, built once
+    lower, upper = _povm_bracket(qsim._coordinate_matrices(
+        np.moveaxis(opening, 2, 0)).swapaxes(2, 3))
     per_k_hi, open_hi = upper[0], upper[1].sum(axis=1)
 
     eps_raw = binding_error_bound(alpha, q)

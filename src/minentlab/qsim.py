@@ -7,8 +7,10 @@ trace, trace norms and trace distance, and Haar-random bases.  Everything
 is exact at desk scale (up to roughly twelve qubits); there is no sparse or
 stabilizer path and no approximation anywhere.  Trace norms come from one
 batched kernel over stacks of Hermitian operators: one closed form for 1x1
-and 2x2 blocks, LAPACK eigvalsh above that; the closed form also reads the
-operators' real coordinates.
+and 2x2 blocks, read from the operators' real coordinates, LAPACK eigvalsh
+above that.  Checkers that sum or transform many operators do so on the
+real coordinates and turn them back into matrices only where a solver
+needs them.
 
 All functions are pure.  Randomness enters only through an explicitly passed
 ``numpy.random.Generator``.
@@ -220,12 +222,13 @@ def epr_pair() -> StateVector:
 # builds a stack of Hermitian operators and hands it over in one call.  The
 # public entries below validate Hermiticity first; package code calls the
 # kernel directly on operators that are Hermitian by construction, so hot
-# loops do not pay for the check.  For D <= 2 it is one closed form,
-# `_gap_trace_norms`, shared with `_coordinate_trace_norms`, which takes
-# the operators as real coordinates instead (the sender distance
-# transforms those in float64 and builds no complex operator); above that,
-# eigvalsh.  Tests pin every entry against SVD and against an independent
-# Jacobi eigensolver.
+# loops do not pay for the check.  For D <= 2 it is the one closed form
+# of `_coordinate_trace_norms`, which takes the operators as real
+# coordinates (the sender distance transforms those in float64, the
+# binding check sums them, and neither builds a complex operator per basis
+# string); above that, eigvalsh.  `_coordinate_matrices` turns coordinates
+# back into matrices.  Tests pin every entry against SVD and against an
+# independent Jacobi eigensolver.
 # ---------------------------------------------------------------------------
 
 def _require_hermitian(a: np.ndarray) -> None:
@@ -252,34 +255,12 @@ def hermitian_eigenvalues(matrix) -> np.ndarray:
 
 
 def _trace_norms(mats: np.ndarray) -> np.ndarray:
-    """tr|M| for each matrix of a Hermitian (..., D, D) stack, unchecked.
-
-    D=1 is |m|.  D=2 is the closed form of `_gap_trace_norms`: for
-    M = [[a, c], [c*, b]] the trace is a + b and the squared gap
-    (a - b)^2 + 4|c|^2, the real coordinates below without stacking them.
-    Larger D sums the absolute eigenvalues from eigvalsh.
-    """
-    d = mats.shape[-1]
-    if d == 1:
-        return np.abs(mats[..., 0, 0].real)
-    if d == 2:
-        a, b, c = mats[..., 0, 0].real, mats[..., 1, 1].real, mats[..., 0, 1]
-        gap_sq = np.subtract(a, b, out=np.empty(a.shape))
-        gap_sq *= gap_sq
-        off = c.real * c.real
-        off += c.imag * c.imag
-        off *= 4.0
-        gap_sq += off
-        return _gap_trace_norms(a + b, gap_sq)
+    """tr|M| for each matrix of a Hermitian (..., D, D) stack, unchecked:
+    the closed form of `_coordinate_trace_norms` on its real coordinates
+    for D <= 2, the sum of the absolute eigenvalues from eigvalsh above."""
+    if mats.shape[-1] in (1, 2):
+        return _coordinate_trace_norms(_coordinates(mats))
     return np.abs(np.linalg.eigvalsh(mats)).sum(axis=-1)
-
-
-def _gap_trace_norms(trace: np.ndarray, gap_sq: np.ndarray) -> np.ndarray:
-    """tr|M| = max(|tr M|, |gap|) of Hermitian operators with D <= 2, from
-    their traces and squared gap vectors (overwritten): the first when M is
-    semidefinite, the second (its eigenvalue gap) when it is indefinite."""
-    np.sqrt(gap_sq, out=gap_sq)
-    return np.maximum(np.abs(trace), gap_sq, out=gap_sq)
 
 
 # Real coordinates of Hermitian D x D operators: a float64 array whose
@@ -300,10 +281,36 @@ def _coordinates(mats: np.ndarray) -> np.ndarray:
         return mats[None, ..., 0, 0].real
     if d == 2:
         a, b, c = mats[..., 0, 0].real, mats[..., 1, 1].real, mats[..., 0, 1]
-        return np.stack((a + b, a - b, 2.0 * c.real, 2.0 * c.imag))
+        out = np.empty((4,) + a.shape)      # `...`: 0-d planes stay arrays
+        np.add(a, b, out=out[0, ...])
+        np.subtract(a, b, out=out[1, ...])
+        np.multiply(c.real, 2.0, out=out[2, ...])
+        np.multiply(c.imag, 2.0, out=out[3, ...])
+        return out
     flat = np.ascontiguousarray(mats, dtype=np.complex128).view(np.float64)
     return np.ascontiguousarray(np.moveaxis(
         flat.reshape(mats.shape[:-2] + (2 * d * d,)), -1, 0))
+
+
+def _coordinate_matrices(coords: np.ndarray) -> np.ndarray:
+    """The Hermitian (..., D, D) stack of a (C, ...) coordinate array, the
+    inverse of `_coordinates`."""
+    size = coords.shape[0]
+    if size == 1:
+        return coords[0, ..., None, None].astype(np.complex128)
+    if size == 4:
+        mats = np.zeros(coords.shape[1:] + (2, 2), dtype=np.complex128)
+        re, im = mats.real, mats.imag
+        np.add(coords[0], coords[1], out=re[..., 0, 0])
+        np.subtract(coords[0], coords[1], out=re[..., 1, 1])
+        re[..., 0, 1] = re[..., 1, 0] = coords[2]
+        im[..., 0, 1] = coords[3]
+        np.negative(coords[3], out=im[..., 1, 0])
+        mats *= 0.5
+        return mats
+    d = math.isqrt(size // 2)
+    mats = np.ascontiguousarray(np.moveaxis(coords, 0, -1)).view(np.complex128)
+    return mats.reshape(coords.shape[1:] + (d, d))
 
 
 def _outer_coordinates(amps: np.ndarray) -> np.ndarray:
@@ -335,20 +342,20 @@ def _outer_coordinates(amps: np.ndarray) -> np.ndarray:
 
 def _coordinate_trace_norms(coords: np.ndarray) -> np.ndarray:
     """tr|M| for each operator of a (C, ...) coordinate array (C = 1, 4 or
-    2 D^2 for D = 1, 2 or D > 2), unchecked.  D = 2 is the closed form of
-    `_gap_trace_norms`, D = 1 the same with no gap; larger D goes to
-    `_trace_norms` on the complex matrices."""
+    2 D^2 for D = 1, 2 or D > 2), unchecked.  D <= 2 is the one closed form
+    max(|tr M|, |gap|): the first when M is semidefinite, the second (its
+    eigenvalue gap) when it is indefinite; D = 1 has no gap.  Larger D goes
+    to eigvalsh on the complex matrices."""
     size = coords.shape[0]
     if size == 1:
         return np.abs(coords[0])
     if size == 4:
-        gap_sq = coords[1] * coords[1]
-        gap_sq += coords[2] * coords[2]
-        gap_sq += coords[3] * coords[3]
-        return _gap_trace_norms(coords[0], gap_sq)
-    d = math.isqrt(size // 2)
-    mats = np.ascontiguousarray(np.moveaxis(coords, 0, -1)).view(np.complex128)
-    return _trace_norms(mats.reshape(coords.shape[1:] + (d, d)))
+        gap = np.multiply(coords[1], coords[1], out=np.empty(coords.shape[1:]))
+        gap += coords[2] * coords[2]
+        gap += coords[3] * coords[3]
+        np.sqrt(gap, out=gap)
+        return np.maximum(np.abs(coords[0]), gap, out=gap)
+    return _trace_norms(_coordinate_matrices(coords))
 
 
 def _operand_matrix(x) -> tuple[tuple[int, ...] | None, np.ndarray]:
@@ -606,9 +613,6 @@ class CqState:
     @property
     def mass(self) -> float:
         return float(sum(op.trace for op in self.branches.values()))
-
-    def classical_weights(self) -> dict:
-        return {key: op.trace for key, op in self.branches.items()}
 
     def average_operator(self) -> DensityOperator:
         total = int(np.prod(self.quantum_dims))

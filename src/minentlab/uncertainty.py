@@ -289,7 +289,9 @@ class RelationReport:
 
 def check_relation_size(basis_set: BasisSet, n: int) -> None:
     """Raise ValueError when the exact joint of n systems, |B|^n * d^n
-    atoms, exceeds MAX_RELATION_ATOMS."""
+    atoms, exceeds MAX_RELATION_ATOMS.  Both factors are at least 1, so
+    capping n at the gate's bit length keeps the verdict."""
+    n = min(n, MAX_RELATION_ATOMS.bit_length())
     if (len(basis_set.bases) * basis_set.dim) ** n > MAX_RELATION_ATOMS:
         raise ValueError("joint too large for exact enumeration "
                          f"(|B|^n * d^n > {MAX_RELATION_ATOMS})")

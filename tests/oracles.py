@@ -427,7 +427,7 @@ def family_average_distance_complex(attack, tau: float
     theta_prior = freq_prior = 2.0 ** (-attack.n)
     for tab in attack.tableaux():
         mask1 = tab.heavy(tau)
-        w = tab.w
+        w = np.einsum("abki,abkj->abkij", tab.a, tab.a.conj())
         prob_c1 += theta_prior * float(tab.p.sum(axis=0)[mask1].sum())
         h0 = hadamard(w.shape[0])
         h1 = hadamard(w.shape[1])

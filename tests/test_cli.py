@@ -489,8 +489,9 @@ def test_domain_errors_exit_2(capsysbinary):
     code, _, _ = run_main(capsysbinary,
                           ["bound", "numeric", "--bases", "haar:1"])
     assert code == 2          # haar family needs at least two bases
-    # sizes past a library gate are refused before anything of size 2^n
-    # is built (an adversary, a script battery, a state or a source)
+    # sizes past a library gate are refused before anything of that size
+    # is built (an adversary, a script battery, a state, a source, a joint
+    # or a sample), and before a gate's own arithmetic grows with n
     for argv in (["ot", "check-sender", "--adversary", "all-plus",
                   "--n", "20"],
                  ["commit", "check-binding", "--adversary", "breidbart",
@@ -500,7 +501,13 @@ def test_domain_errors_exit_2(capsysbinary):
                  ["verify", "pa", "--n", "16"],
                  ["verify", "pa", "--n", "2", "--q", "30"],
                  ["verify", "pa", "--n", "8", "--l", "8", "--q", "6"],
-                 ["verify", "pa", "--n", "8", "--l", "8", "--q", "1"]):
+                 ["verify", "pa", "--n", "8", "--l", "8", "--q", "1"],
+                 ["verify", "relation", "--n", "100000000000",
+                  "--state", "zero"],
+                 ["verify", "sequence-bound", "--n", "100000000000"],
+                 ["verify", "azuma", "--trials", "1000000000000"],
+                 ["verify", "chain-rule", "--nx", "100000", "--ny", "100000"],
+                 ["verify", "splitting", "--size", "1000000"]):
         code, out, err = run_main(capsysbinary, argv)
         assert code == 2, argv
         assert out == b"" and err.startswith(b"error:"), argv

@@ -111,7 +111,7 @@ def test_uniform_iid_bound_values():
     assert rep.smooth_min_entropy >= 10.0 - 1e-9
 
 
-def test_generic_dfs_path_matches_markov_path():
+def test_full_history_enumeration_matches_markov_order():
     init = [0.6, 0.4]
     trans = [[0.3, 0.7], [0.5, 0.5]]
     mk = conc.markov_model(init, trans)

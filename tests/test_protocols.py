@@ -110,8 +110,9 @@ def test_epr_outcome_table_exact():
                     assert table[t, xp, 1] == pytest.approx(0.5, abs=1e-12)
 
 
-def test_sample_epr_triples_frequencies():
-    x, xp, theta = protocols.sample_epr_triples(4, 0, 20_000, seed=5)
+def test_run_epr_ot_frequencies():
+    t = protocols.run_epr_ot(80_000, 1, 0, seed=5)
+    x, xp, theta = (np.array(v) for v in (t.x, t.x_prime, t.theta))
     same = theta == 0
     agree = (x == xp)[same]
     assert agree.all()
@@ -228,7 +229,8 @@ def test_product_adversary_validation():
 def test_tableau_index_convention_matches_cq_table():
     # for every basis string, a[codes[0][x], codes[1][x], k] is the memory
     # amplitude of record k when x was sent, up to the EPR normalization
-    # 2^(-n/2); p and w are its mass and memory operator
+    # 2^(-n/2); p is its mass, and the real coordinates of its memory
+    # operator are those of the outer product
     rng = np.random.default_rng(5)
     u = np.linalg.qr(rng.normal(size=(16, 16))
                      + 1j * rng.normal(size=(16, 16)))[0]
@@ -239,11 +241,14 @@ def test_tableau_index_convention_matches_cq_table():
         scale = 2.0 ** (n / 2.0)
         k_count, mem_dim, table = oracles.adversary_cq_table(adv)
         tableaux = list(protocols._EprAttack(adv).tableaux())
+        size = (1, 4, 32)[adv.q]
         strings = list(itertools.product((0, 1), repeat=n))
         assert [tab.theta for tab in tableaux] == strings, adv.name
         for tab in tableaux:
             m1 = sum(tab.theta)
             assert tab.a.shape == (2 ** (n - m1), 2 ** m1, k_count, mem_dim)
+            coords = qsim._outer_coordinates(tab.a)
+            assert coords.shape == (size,) + tab.a.shape[:3]
             cells = set()
             for xi, x in enumerate(strings):
                 want = np.zeros((k_count, mem_dim), complex)
@@ -254,9 +259,11 @@ def test_tableau_index_convention_matches_cq_table():
                 assert np.allclose(tab.a[cell] * scale, want, atol=1e-12)
                 assert np.allclose(tab.p[cell] * scale ** 2,
                                    (np.abs(want) ** 2).sum(axis=1), atol=1e-12)
-                assert np.allclose(tab.w[cell] * scale ** 2,
-                                   np.einsum("ki,kj->kij", want, want.conj()),
-                                   atol=1e-12)
+                assert np.allclose(
+                    coords[(slice(None),) + cell] * scale ** 2,
+                    qsim._coordinates(np.einsum("ki,kj->kij", want,
+                                                want.conj())),
+                    atol=1e-12)
             assert len(cells) == 2 ** n      # (x0, x1) covers every x once
 
 
@@ -340,15 +347,21 @@ def test_sender_distance_matches_complex_reference():
 
 def test_sender_check_builds_no_complex_operator_for_q_le_1(monkeypatch):
     # q <= 1 sender checks run on real coordinates only; the binding check
-    # still reads the complex memory operators, so it trips the patch
-    def forbidden(tab):
-        raise AssertionError("complex memory operators built")
+    # turns its summed coordinates into complex operators once, before the
+    # POVM solver
+    calls = []
+    real = qsim._coordinate_matrices
 
-    monkeypatch.setattr(protocols._Tableau, "w", property(forbidden))
+    def counted(coords):
+        calls.append(coords.shape)
+        return real(coords)
+
+    monkeypatch.setattr(qsim, "_coordinate_matrices", counted)
     for adv in (all_plus(5), store_one_diag(5)):
         protocols.check_sender_security(adv)
-    with pytest.raises(AssertionError, match="complex memory operators"):
-        protocols.check_binding(store_one_diag(5))
+    assert calls == []
+    protocols.check_binding(store_one_diag(5))
+    assert len(calls) == 1
 
 
 def test_sender_report_all_plus_closed_form():

@@ -108,13 +108,16 @@ def _kernel_cases(d: int, rng) -> np.ndarray:
 def test_trace_norm_stacks_match_oracles():
     """The batched kernel on (..., D, D) stacks, D = 1 to 4, and the same
     stacks through their real coordinates, against SVD and against the
-    Jacobi spectrum, matrix by matrix."""
+    Jacobi spectrum, matrix by matrix; the coordinates map back to the
+    stack."""
     rng = np.random.default_rng(23)
     for d in (1, 2, 3, 4):
         h = _kernel_cases(d, rng)
         got = qsim.trace_norm(h)
         coords = qsim._coordinates(h)
         assert coords.shape == ((1, 4, 18, 32)[d - 1], 3, 5)
+        assert np.allclose(qsim._coordinate_matrices(coords), h, rtol=0.0,
+                           atol=1e-15 * np.abs(h).max()), d
         by_coords = qsim._coordinate_trace_norms(coords)
         assert got.shape == by_coords.shape == (3, 5)
         for idx in np.ndindex(3, 5):
