@@ -220,6 +220,8 @@ def _script_battery(n: int, l: int) -> list[protocols.ScriptedSender]:
     """Three fixed dishonest-sender scripts used by ``ot check-receiver``."""
     _gate("exact receiver-security check handles", n,
           protocols.MAX_RECEIVER_QUBITS)
+    if not 1 <= l <= n:
+        raise ValueError(f"need 1 <= l <= n = {n}, got l = {l}")
     dim = 2 ** n
     f0 = hashing.sample_hash(n, l, np.random.default_rng(101))
     f1 = hashing.sample_hash(n, l, np.random.default_rng(202))

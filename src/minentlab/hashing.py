@@ -7,10 +7,12 @@ and output bit i is the parity of input & row.  The family of all strings is
 two-universal: extracting l bits from a source with smooth min-entropy H
 given q qubits of side information leaves a state within
 (1/2) * 2^(-(H - q - l)/2) + 2*eps of uniform-and-independent, which
-verify_pa checks exactly by enumerating the family.  One evaluator serves
-each job: apply_hash hashes one input of any length (an OT substring or a
-QKD key) as a numpy.fft convolution with the diagonal string, and
-_output_tables hashes every input of a short string as row-mask parities.
+verify_pa checks exactly over the whole family.  One evaluator serves each
+job: apply_hash hashes one input of any length (an OT substring or a QKD
+key) as a numpy.fft convolution with the diagonal string,
+hash_output_table every input of a short string as row-mask parities, and
+verify_pa whole families as one Walsh-Hadamard transform of the source
+operators' real coordinates, read at the XORs of each member's rows.
 """
 
 from __future__ import annotations
@@ -32,28 +34,20 @@ MAX_PA_SOURCE_BITS = 8
 # Largest adversary memory, in qubits, that verify_pa accepts.  Each further
 # qubit makes the 2^q x 2^q trace norms about four times slower.
 MAX_PA_MEMORY_QUBITS = 6
-# Most operator entries, 2^(n+l-1) hashes * 2^n inputs * side symbols * 4^q,
-# that verify_pa accumulates; n=8, l=8, q=6 would take 2^12 times as many.
+# Bound on verify_pa's work, 2^(n+l-1) hashes * 2^n inputs * side symbols
+# * 4^q operator entries; n=8, l=8, q=6 would take 2^12 times as many.  Its
+# transform reads 2^l frequencies for each of a hash's 2^l outputs, which
+# is 2^(n+2l-1) * side symbols * 4^q and, as l <= n, within the bound.
 MAX_PA_WORK = 1 << 23
-# verify_pa accumulates the branch operators of this many (hash, input,
-# operator entry) triples at a time, which caps its working memory at a few
-# megabytes whatever n, l and the memory size are.
+# verify_pa gathers and transforms the operator coordinates of this many
+# (hash, side symbol, output, coordinate) cells at a time, which caps its
+# working memory at a few megabytes whatever n, l and the memory size are.
 _PA_BLOCK_ENTRIES = 1 << 17
 
 
 def _row(g, n: int, i):
     """Row i for diagonal string g, as Python ints or broadcast arrays."""
     return (g >> i) & ((1 << n) - 1)
-
-
-def _output_tables(rows: np.ndarray, m: int) -> np.ndarray:
-    """Integer outputs of all 2^m inputs for (..., l) stacks of m-bit rows,
-    output bit i at bit l-1-i."""
-    x = np.arange(2 ** m)
-    out = np.zeros(rows.shape[:-1] + x.shape, dtype=np.int64)
-    for i in range(rows.shape[-1]):
-        out = (out << 1) | (np.bitwise_count(rows[..., i, None] & x) & 1)
-    return out
 
 
 @dataclass(frozen=True)
@@ -184,12 +178,17 @@ def enumerate_hash_family(n: int, l: int) -> list[ToeplitzHash]:
 
 
 def hash_output_table(h: ToeplitzHash, m: int | None = None) -> np.ndarray:
-    """Outputs (as integers) for all 2^m inputs, m defaulting to input_bits."""
+    """Outputs (as integers) for all 2^m inputs, m defaulting to input_bits,
+    output bit i at bit l-1-i."""
     n = h.input_bits
     m = n if m is None else int(m)
     if m > n:
         raise ValueError("m exceeds input_bits")
-    return _output_tables(np.array([row >> (n - m) for row in h.rows]), m)
+    x = np.arange(2 ** m)
+    out = np.zeros(2 ** m, dtype=np.int64)
+    for row in h.rows:
+        out = (out << 1) | (np.bitwise_count((row >> (n - m)) & x) & 1)
+    return out
 
 
 def pa_bound(h_smooth: float, q: int, l: int, eps: float) -> float:
@@ -267,24 +266,31 @@ def verify_pa(cq: qsim.CqState, l: int, eps: float) -> PrivacyAmpReport:
     for (x, u), op in cq.branches.items():
         if len(x) != n:
             raise ValueError("inconsistent source lengths")
-        xi = int("".join(str(int(b) & 1) for b in x), 2)
+        if any(b not in (0, 1) for b in x):
+            raise ValueError(f"source entries must be bits, got {x!r}")
+        xi = int("".join(str(int(b)) for b in x), 2)
         ops[u_index[u], xi] += op.matrix
 
-    # real[hash, s] sums the (u, E) operators of the inputs hashing to s;
-    # ideal spreads each u's operator evenly over the outputs
-    per_x = np.ascontiguousarray(ops.transpose(1, 0, 2, 3)).reshape(2 ** n, -1)
-    ideal = ops.sum(axis=1).reshape(-1) / 2 ** l
+    # By [F x = s] = 2^-l sum_v (-1)^(v.(F x + s)), the (u, E) operator at
+    # output s less its ideal share (the v = 0 term) is 2^-l sum_{v != 0}
+    # (-1)^(v.s) w[F^T v]: w is the Walsh-Hadamard transform over x of the
+    # real coordinates, F^T v the XOR of the rows v selects (row i: bit l-1-i).
+    w = qsim._coordinates(ops) @ qsim.hadamard(2 ** n)     # (c, u, r)
+    v = np.arange(2 ** l)
     family = 2 ** (n + l - 1)
-    block = max(1, _PA_BLOCK_ENTRIES // per_x.size)
+    block = max(1, _PA_BLOCK_ENTRIES // (w.shape[0] * w.shape[1] * 2 ** l))
     total = 0.0
     for start in range(0, family, block):
-        g = np.arange(start, min(start + block, family))
-        tables = _output_tables(_row(g[:, None], n, np.arange(l)), n)
-        real = np.zeros((len(g), 2 ** l, per_x.shape[1]), complex)
-        np.add.at(real, (np.arange(len(g))[:, None], tables), per_x)
-        diff = (real - ideal).reshape(-1, dim, dim)
-        total += float(qsim._trace_norms(diff).sum())
-    dist = 0.5 * total / family
+        g = np.arange(start, min(start + block, family))[:, None]
+        freq = np.zeros((len(g), 2 ** l), dtype=np.int64)
+        for i in range(l):
+            freq ^= _row(g, n, i) * ((v >> (l - 1 - i)) & 1)
+        spectrum = w[..., freq]                             # (c, u, g, v)
+        spectrum[..., 0] = 0.0
+        diff = spectrum.reshape(-1, 2 ** l) @ qsim.hadamard(2 ** l)
+        total += float(qsim._coordinate_trace_norms(
+            diff.reshape(spectrum.shape)).sum())
+    dist = 0.5 * total / 2 ** l / family
 
     weights = {key: op.trace for key, op in cq.branches.items()}
     joint = JointDistribution(("x", "u"), weights)

@@ -52,12 +52,16 @@ import numpy as np
 
 from . import hashing, qsim
 from .hashing import ToeplitzHash, apply_hash, sample_hash
+from .qsim import hadamard  # the benchmark's tracer wraps it by this name
 
 SLACK = 1e-9
 # Size gates of the exact checkers, read by the command line before it
 # builds an adversary or a script.
 MAX_ATTACK_QUBITS = 8
 MAX_RECEIVER_QUBITS = 6
+# Longest honest run, in qubits and in hashed output bits (the scale of
+# qkd.MAX_SENT); the runs refuse a larger n or l before drawing anything.
+MAX_RUN_QUBITS = 10 ** 6
 
 _H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
@@ -93,20 +97,6 @@ def _hadamard_wires(arr: np.ndarray, theta: Sequence[int],
             for offset in offsets:
                 arr = qsim._contract_axis(arr, _H2, offset + i)
     return arr
-
-
-@functools.cache
-def hadamard(size: int) -> np.ndarray:
-    """The size x size Sylvester-Hadamard matrix, entry (i, j) =
-    (-1)^popcount(i & j), as read-only float64 (the same +-1 matrix as
-    scipy.linalg.hadamard).  Cached per size: every basis string of a
-    sender check transforms with the same few sizes."""
-    if size < 1 or size & (size - 1):
-        raise ValueError("size must be a positive power of 2")
-    i = np.arange(size)
-    h = 1.0 - 2.0 * (np.bitwise_count(i[:, None] & i) & 1)
-    h.flags.writeable = False
-    return h
 
 
 def _subset_indices(theta: Sequence[int], b: int) -> list[int]:
@@ -215,8 +205,9 @@ def run_ot(n: int, l: int, c: int, seed: int) -> OtTranscript:
     the typical subset is then too short to extract l bits.
     """
     n, l, c = int(n), int(l), int(c)
-    if n < 1 or l < 1 or c not in (0, 1):
-        raise ValueError("need n >= 1, l >= 1, c in {0, 1}")
+    if not (1 <= n <= MAX_RUN_QUBITS and 1 <= l <= MAX_RUN_QUBITS
+            and c in (0, 1)):
+        raise ValueError(f"need 1 <= n, l <= {MAX_RUN_QUBITS}, c in {{0, 1}}")
     if l > n // 2:
         warnings.warn(f"l = {l} exceeds n/2 = {n // 2}; subsets are typically "
                       "too short for this output length", stacklevel=2)
@@ -236,8 +227,9 @@ def run_epr_ot(n: int, l: int, c: int, seed: int) -> OtTranscript:
     once per run.  Same joint distribution of (x, x', theta) as run_ot.
     """
     n, l, c = int(n), int(l), int(c)
-    if n < 1 or l < 1 or c not in (0, 1):
-        raise ValueError("need n >= 1, l >= 1, c in {0, 1}")
+    if not (1 <= n <= MAX_RUN_QUBITS and 1 <= l <= MAX_RUN_QUBITS
+            and c in (0, 1)):
+        raise ValueError(f"need 1 <= n, l <= {MAX_RUN_QUBITS}, c in {{0, 1}}")
     rng = np.random.default_rng(seed)
     theta = rng.integers(0, 2, size=n)
     receiver = qsim.standard_bases_qubit()[c]
@@ -767,8 +759,8 @@ def run_commit(n: int, b: int, seed: int) -> CommitTranscript:
     accept.
     """
     n, b = int(n), int(b)
-    if n < 1 or b not in (0, 1):
-        raise ValueError("need n >= 1 and b in {0, 1}")
+    if not 1 <= n <= MAX_RUN_QUBITS or b not in (0, 1):
+        raise ValueError(f"need 1 <= n <= {MAX_RUN_QUBITS} and b in {{0, 1}}")
     rng = np.random.default_rng(seed)
     x = tuple(int(v) for v in rng.integers(0, 2, size=n))
     theta = tuple(int(v) for v in rng.integers(0, 2, size=n))

@@ -9,8 +9,9 @@ stabilizer path and no approximation anywhere.  Trace norms come from one
 batched kernel over stacks of Hermitian operators: one closed form for 1x1
 and 2x2 blocks, read from the operators' real coordinates, LAPACK eigvalsh
 above that.  Checkers that sum or transform many operators do so on the
-real coordinates and turn them back into matrices only where a solver
-needs them.
+real coordinates, the Walsh-Hadamard transforms as GEMMs with the cached
+Sylvester-Hadamard matrix `hadamard`, and turn them back into matrices
+only where a solver needs them.
 
 All functions are pure.  Randomness enters only through an explicitly passed
 ``numpy.random.Generator``.
@@ -18,6 +19,7 @@ All functions are pure.  Randomness enters only through an explicitly passed
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
@@ -426,6 +428,20 @@ def _contract_axis(tensor: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray
     """Replace axis content z by sum_z mat[x, z] * tensor[..., z, ...]."""
     t = np.tensordot(mat, tensor, axes=([1], [axis]))
     return np.moveaxis(t, 0, axis)
+
+
+@functools.cache
+def hadamard(size: int) -> np.ndarray:
+    """The size x size Sylvester-Hadamard matrix, entry (i, j) =
+    (-1)^popcount(i & j), as read-only float64 (the same +-1 matrix as
+    scipy.linalg.hadamard).  Cached per size: the sender distance and the
+    privacy-amplification check transform with the same few sizes."""
+    if size < 1 or size & (size - 1):
+        raise ValueError("size must be a positive power of 2")
+    i = np.arange(size)
+    h = 1.0 - 2.0 * (np.bitwise_count(i[:, None] & i) & 1)
+    h.flags.writeable = False
+    return h
 
 
 def basis_string_walk(tensor: np.ndarray,

@@ -8,8 +8,10 @@ high-precision scalars, Python-int row masks for Toeplitz hashing (the
 package uses numpy.fft), one qsim.measure call per qubit for honest runs
 (the package draws from one outcome table), complex memory operators and
 complex transforms for the family-averaged sender distance (the package
-transforms real coordinates), and plain dictionary bookkeeping for
-protocol state enumeration.  Agreement between a package routine and its
+transforms real coordinates), one hashed branch at a time for the
+privacy-amplification distance (the package reads a Walsh-Hadamard
+transform), and plain dictionary bookkeeping for protocol state
+enumeration.  Agreement between a package routine and its
 oracle is evidence, not tautology.
 """
 
@@ -242,6 +244,27 @@ def apply_hash_rows(h, x) -> tuple[int, ...]:
             raise ValueError(f"input must be at most {n} bits")
         value = int("0" + "".join(map(str, bits)), 2) << (n - len(bits))
     return tuple((value & row).bit_count() & 1 for row in h.rows)
+
+
+def pa_distance_oracle(cq, l: int) -> float:
+    """hashing.verify_pa's exact_distance by brute force: for each member of
+    enumerate_hash_family, every branch is hashed with apply_hash_rows and
+    added to its (output, side symbol) cell one at a time, and each cell is
+    compared by SVD with its symbol's operator spread evenly over the 2^l
+    outputs."""
+    n = len(next(iter(cq.branches))[0])
+    family = hashing.enumerate_hash_family(n, l)
+    total = 0.0
+    for h in family:
+        cells, marginal = {}, {}
+        for (x, u), op in cq.branches.items():
+            s = apply_hash_rows(h, x)
+            cells[s, u] = cells.get((s, u), 0.0) + op.matrix
+            marginal[u] = marginal.get(u, 0.0) + op.matrix
+        for s in itertools.product((0, 1), repeat=l):
+            for u, m in marginal.items():
+                total += trace_norm_svd(cells.get((s, u), 0.0) - m / 2 ** l)
+    return 0.5 * total / len(family)
 
 
 # ---------------------------------------------------------------------------

@@ -490,8 +490,9 @@ def test_domain_errors_exit_2(capsysbinary):
                           ["bound", "numeric", "--bases", "haar:1"])
     assert code == 2          # haar family needs at least two bases
     # sizes past a library gate are refused before anything of that size
-    # is built (an adversary, a script battery, a state, a source, a joint
-    # or a sample), and before a gate's own arithmetic grows with n
+    # is built (an adversary, a script battery, a state, a source, a joint,
+    # a sample or an honest run), and before a gate's own arithmetic grows
+    # with n
     for argv in (["ot", "check-sender", "--adversary", "all-plus",
                   "--n", "20"],
                  ["commit", "check-binding", "--adversary", "breidbart",
@@ -507,7 +508,12 @@ def test_domain_errors_exit_2(capsysbinary):
                  ["verify", "sequence-bound", "--n", "100000000000"],
                  ["verify", "azuma", "--trials", "1000000000000"],
                  ["verify", "chain-rule", "--nx", "100000", "--ny", "100000"],
-                 ["verify", "splitting", "--size", "1000000"]):
+                 ["verify", "splitting", "--size", "1000000"],
+                 ["ot", "run", "--n", "1000000000000"],
+                 ["ot", "run", "--epr", "--n", "1000000000000"],
+                 ["commit", "run", "--n", "1000000000000"],
+                 ["ot", "run", "--n", "4", "--l", "1000000000000"],
+                 ["ot", "check-receiver", "--n", "2", "--l", "40"]):
         code, out, err = run_main(capsysbinary, argv)
         assert code == 2, argv
         assert out == b"" and err.startswith(b"error:"), argv

@@ -270,6 +270,25 @@ def test_verify_pa_random_ccq_states():
         assert rep.holds, f"trial {trial}: {rep}"
 
 
+def test_verify_pa_matches_oracle():
+    # random ccq-states with two side symbols and mixed memory operators,
+    # every output length, against per-branch summation and SVD
+    rng = np.random.default_rng(18)
+    for n in range(1, 5):
+        for l in range(1, n + 1):
+            for q in (0, 1, 2):
+                weights = rng.dirichlet(np.ones(2 ** (n + 1)))
+                branches = {}
+                for k, (x, u) in enumerate(itertools.product(
+                        itertools.product((0, 1), repeat=n), ("a", 7))):
+                    branches[(x, u)] = weights[k] * oracles.random_density(
+                        2 ** q, rng)
+                cq = qsim.CqState((2,) * q or (1,), branches)
+                rep = hashing.verify_pa(cq, l, 0.0)
+                assert rep.exact_distance == pytest.approx(
+                    oracles.pa_distance_oracle(cq, l), abs=1e-12), (n, l, q)
+
+
 def test_verify_pa_input_errors():
     with pytest.raises(ValueError):
         hashing.verify_pa(qsim.CqState((1,), {}), 1, 0.0)
@@ -292,6 +311,11 @@ def test_verify_pa_input_errors():
     with pytest.raises(ValueError):
         hashing.verify_pa(
             qsim.CqState((3,), {((0,), 0): np.eye(3) / 3.0}), 1, 0.0)
+    # a source entry that is not a bit is refused, not read as its parity
+    with pytest.raises(ValueError):
+        hashing.verify_pa(qsim.CqState((1,), {
+            ((2,), 0): np.array([[0.5]]), ((0,), 0): np.array([[0.5]])}),
+            1, 0.0)
     # every gate passes on its own, but the family times the operators is
     # past the work bound; refused before anything is enumerated
     with pytest.raises(ValueError):
