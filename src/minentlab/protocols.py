@@ -17,15 +17,18 @@ opening; no sampling enters any security figure.
 
 Every adversary figure reads one object per announced basis string, the
 attack tableau: the post-measurement amplitudes indexed by the sender's two
-basis substrings, the record and the memory, with their masses.
-`_EprAttack.tableaux` is the only loop over basis strings; the exact
-min-entropy, the sender distance and the binding operators each make one
-pass over it.  The last two read the memory operators |a><a| as real
-coordinates (`qsim._outer_coordinates`): the sender distance transforms
-them, the binding check sums them and builds complex matrices once, for
-the POVM solver.  The tableaux come from one `qsim.basis_string_walk`,
-which rotates each prefix once and shares it: about one Hadamard
-contraction per basis string, with at most n + 1 rotated tensors live.
+basis substrings, the record and the memory, with their masses.  Each
+sender or binding check makes one pass over them, `_EprAttack.split_walk`:
+it raises the worst ratio, and so tau = 2^(-alpha/2), as it goes, and
+hands every tableau to the check with its heavy mask under the running
+tau.  The few strings whose mask moves once tau is final are re-rotated
+from scratch and redone.  The sender distance and the binding operators
+read the memory operators |a><a| as real coordinates
+(`qsim._outer_coordinates`): the sender distance transforms them, the
+binding check sums them and builds complex matrices once, for the POVM
+solver.  The tableaux come from one `qsim.basis_string_walk`, which
+rotates each prefix once and shares it: about one Hadamard contraction per
+basis string, with at most n + 1 rotated tensors live.
 
 The family-averaged distance over both announced hashes is evaluated with a
 Walsh-Hadamard character identity over the Toeplitz row family, which turns
@@ -34,7 +37,7 @@ post-measurement operators.  The operators enter as real coordinates (mass,
 trace and gap vector, or the float64 view for q = 2), so the transforms are
 float64 GEMMs; the x0 transform of each basis string is shared by both
 branches of the split, and q <= 1 trace norms are one closed form.  At n=8
-a sender check takes 0.65-1.0 s for all-plus and breidbart and 1.5-2.05 s
+a sender check takes 0.9-1.3 s for all-plus and breidbart and 1.4-2.0 s
 for store-one-diag (one BLAS thread, 2-core x86-64).  Tests cross-check
 the distance against direct enumeration at n <= 4 and against the complex
 transform path up to n = 7.
@@ -64,6 +67,8 @@ MAX_RECEIVER_QUBITS = 6
 MAX_RUN_QUBITS = 10 ** 6
 
 _H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+# an atom is heavy when P(x1 | theta, record) >= tau - HEAVY_SLACK
+HEAVY_SLACK = 1e-12
 
 
 def breidbart_basis() -> qsim.Basis:
@@ -524,31 +529,43 @@ class _Tableau:
 
     ``a`` holds the amplitudes indexed (x0, x1, record, memory): x_b is the
     sender's substring on the positions with theta_i = b, first position
-    most significant.  ``p`` is the (x0, x1, record) mass and
-    ``codes[b][x]`` the x_b index of the full n-bit string x, built when
-    first read.
+    most significant.  ``p`` is the (x0, x1, record) mass.
     """
 
     theta: tuple[int, ...]
     a: np.ndarray
     p: np.ndarray
 
-    @functools.cached_property
-    def codes(self) -> tuple[np.ndarray, np.ndarray]:
-        n = len(self.theta)
-        return tuple(_subset_codes(n, _subset_indices(self.theta, b))
-                     for b in (0, 1))
+    def worst_ratio(self) -> float:
+        """max over records of max_x P(x | theta, record), 0.0 when no
+        record carries mass: 2^(-alpha) once maximized over theta."""
+        p = self.p.reshape(-1, self.p.shape[-1])
+        pk = p.sum(axis=0)
+        live = pk > 1e-300
+        if not np.any(live):
+            return 0.0
+        return float((p[:, live].max(axis=0) / pk[live]).max())
 
-    def heavy(self, tau: float) -> np.ndarray:
-        """Boolean (2^m1, record) mask of atoms whose diagonal-subset string
-        is heavy: P(x1 | theta, record) >= tau.  Records with zero mass are
-        left unmasked (they never contribute weight)."""
+    @functools.cached_property
+    def conditional(self) -> np.ndarray:
+        """(2^m1, record) array of P(x1 | theta, record); records with zero
+        mass read 0 (they never contribute weight)."""
         p_x1k = self.p.sum(axis=0)
         p_k = p_x1k.sum(axis=0)
         with np.errstate(invalid="ignore", divide="ignore"):
-            cond = np.where(p_k > 0.0, p_x1k / np.where(p_k > 0.0, p_k, 1.0),
+            return np.where(p_k > 0.0, p_x1k / np.where(p_k > 0.0, p_k, 1.0),
                             0.0)
-        return cond >= tau - 1e-12
+
+    def heavy(self, tau: float) -> np.ndarray:
+        """Boolean (2^m1, record) mask of atoms whose diagonal-subset string
+        is heavy: P(x1 | theta, record) >= tau."""
+        return self.conditional >= tau - HEAVY_SLACK
+
+
+def _alpha_tau(worst: float) -> tuple[float, float]:
+    """alpha = -log2(worst ratio) and the heavy threshold 2^(-alpha/2)."""
+    alpha = 0.0 - math.log2(worst)     # +0.0, not -0.0, when worst == 1
+    return alpha, 2.0 ** (-alpha / 2.0)
 
 
 class _EprAttack:
@@ -557,9 +574,9 @@ class _EprAttack:
     In the purified protocol the sender holds halves of n EPR pairs, so the
     adversary's isometry V acting on the transmitted halves gives the joint
     amplitude matrix V^T / 2^(n/2) between the sender wires and the
-    adversary register.  `tableaux` rotates the sender wires to each basis
-    string in turn and yields its `_Tableau`, from which every security
-    figure follows.
+    adversary register.  `split_walk` rotates the sender wires to each
+    basis string in turn and hands its `_Tableau`, from which every
+    security figure follows, to the check together with its heavy mask.
     """
 
     def __init__(self, adversary: BoundedAdversary):
@@ -575,6 +592,21 @@ class _EprAttack:
         self.register = tuple(self.n + w
                               for w in measured + list(adversary.kept))
 
+    def _tableau(self, theta: tuple[int, ...], rotated: np.ndarray
+                 ) -> _Tableau:
+        """Order the rotated sender wires as (x0, x1), then the register,
+        and take the masses."""
+        i0, i1 = _subset_indices(theta, 0), _subset_indices(theta, 1)
+        arr = np.transpose(rotated, tuple(i0) + tuple(i1) + self.register)
+        a = np.ascontiguousarray(arr).reshape(
+            2 ** len(i0), 2 ** len(i1), self.k_dim, self.mem_dim)
+        return _Tableau(theta, a, (np.abs(a) ** 2).sum(axis=3))
+
+    def tableau(self, theta: tuple[int, ...]) -> _Tableau:
+        """One basis string's tableau, rotated from scratch: the walk's
+        contractions in the walk's order, so the same bytes."""
+        return self._tableau(theta, _hadamard_wires(self.base, theta))
+
     def tableaux(self) -> Iterator[_Tableau]:
         """One tableau per basis string, theta read as an n-bit integer with
         the first position most significant, in increasing order.
@@ -584,30 +616,43 @@ class _EprAttack:
         contractions in all, about one per basis string instead of up to
         n, with at most n + 1 rotated tensors live.
         """
-        n = self.n
-        walk = qsim.basis_string_walk(self.base, (None, _H2), n)
+        walk = qsim.basis_string_walk(self.base, (None, _H2), self.n)
         for theta, rotated in walk:
-            i0, i1 = _subset_indices(theta, 0), _subset_indices(theta, 1)
-            arr = np.transpose(rotated, tuple(i0) + tuple(i1) + self.register)
-            a = np.ascontiguousarray(arr).reshape(
-                2 ** len(i0), 2 ** len(i1), self.k_dim, self.mem_dim)
-            yield _Tableau(theta, a, (np.abs(a) ** 2).sum(axis=3))
+            yield self._tableau(theta, rotated)
 
-    def min_entropy_alpha(self) -> float:
-        """Exact min-entropy of the sender string given theta and the
-        adversary's pre-announcement measurement record."""
-        worst = 0.0
-        for tab in self.tableaux():
-            p = tab.p.reshape(-1, self.k_dim)
-            pk = p.sum(axis=0)
-            live = pk > 1e-300
-            if not np.any(live):
-                continue
-            ratios = p[:, live].max(axis=0) / pk[live]
-            worst = max(worst, float(ratios.max()))
+    def split_walk(self, visit) -> tuple[float, float, list]:
+        """One pass over the tableaux for alpha, tau and the heavy masks.
+
+        Calls visit(s, tab, mask) for basis string number s in walk order,
+        with mask = tab.heavy(tau_s) under the running tau_s: tau =
+        2^(-alpha/2) of the worst ratio seen so far, the same expression
+        as the final one.  A string's running mask is its final mask
+        exactly when its least conditional inside the mask and its largest
+        outside still fall on their sides of the final threshold; the two
+        scalars per string are all the walk keeps.  Returns alpha, tau and
+        the strings whose masks differ, as (s, theta, tau_s): the caller
+        re-rotates those alone with `tableau`.
+        """
+        worst, tau_s, seen = 0.0, 0.0, []
+        for s, tab in enumerate(self.tableaux()):
+            ratio = tab.worst_ratio()
+            if ratio > worst:
+                worst = ratio
+                tau_s = _alpha_tau(worst)[1]
+            mask = tab.heavy(tau_s)
+            visit(s, tab, mask)
+            cond = tab.conditional
+            seen.append((tab.theta, tau_s,
+                         float(np.min(cond, where=mask, initial=np.inf)),
+                         float(np.max(cond, where=~mask, initial=-np.inf))))
         if worst <= 0.0:
             raise ValueError("adversary state carries no probability mass")
-        return 0.0 - math.log2(worst)     # +0.0, not -0.0, when worst == 1
+        alpha, tau = _alpha_tau(worst)
+        cut = tau - HEAVY_SLACK
+        stale = [(s, theta, tau_s)
+                 for s, (theta, tau_s, inside, outside) in enumerate(seen)
+                 if not (inside >= cut and outside < cut)]
+        return alpha, tau, stale
 
 
 # ---------------------------------------------------------------------------
@@ -650,51 +695,71 @@ class SenderSecurityReport:
                 "trivial": self.trivial, "holds": self.holds}
 
 
-def _family_average_distance(attack: _EprAttack, tau: float
-                             ) -> tuple[float, float]:
-    """Family-averaged real-vs-ideal distance, exact, for one-bit hashes.
+def _sender_terms(tab: _Tableau, mask1: np.ndarray
+                  ) -> tuple[float, float, float]:
+    """One basis string's P[C' = 1] term and its two branch terms of the
+    family-averaged real-vs-ideal distance, exact, for one-bit hashes.
 
-    Per basis string the masked post-measurement operators are transformed
-    over both substring indices with Sylvester-Hadamard matrices; each
-    frequency pair contributes two trace norms.  The identity behind this:
-    a uniformly drawn one-bit GF(2)-linear hash of an m-bit string is the
-    character family, so averaging the branch distances over the family is
-    the same as averaging transform magnitudes over frequencies.
+    The masked post-measurement operators are transformed over both
+    substring indices with Sylvester-Hadamard matrices; each frequency pair
+    contributes two trace norms.  The identity behind this: a uniformly
+    drawn one-bit GF(2)-linear hash of an m-bit string is the character
+    family, so averaging the branch distances over the family is the same
+    as averaging transform magnitudes over frequencies.
 
     The operators enter as real coordinates (`qsim._outer_coordinates`):
     the mass for q = 0, the trace and gap vector for q = 1, the float64 view
     of the complex operator for q = 2.  Both transforms are float64 GEMMs,
     and q <= 1 builds no complex operator.  The heavy mask depends only on
-    (x1, record), so the x0 transform runs once per basis string and both
-    branches share it: each masked entry is the same sum times 0 or 1.  A
-    branch that masks in no atom adds exactly 0 and is skipped.  Per basis
-    string that is one x0 and at most two x1 transforms of a (coordinate,
-    2^n, record) array and at most four trace-norm stacks, closed form for
-    q <= 1 and eigvalsh for q = 2.
+    (x1, record), so the x0 transform runs once and both branches share it:
+    each masked entry is the same sum times 0 or 1.  A branch that masks in
+    no atom adds exactly 0 and is skipped.  That is one x0 and at most two
+    x1 transforms of a (coordinate, 2^n, record) array and at most four
+    trace-norm stacks, closed form for q <= 1 and eigvalsh for q = 2.
     """
-    total = 0.0
-    prob_c1 = 0.0
-    theta_prior = freq_prior = 2.0 ** (-attack.n)
-    for tab in attack.tableaux():
-        mask1 = tab.heavy(tau)
-        prob_c1 += theta_prior * float(tab.p.sum(axis=0)[mask1].sum())
-        coords = qsim._outer_coordinates(tab.a.swapaxes(0, 1))
-        size, n1, n0 = coords.shape[:3]                  # (c, x1, x0, k)
-        t = hadamard(n0) @ coords                        # (c, x1, a0, k)
-        h1 = hadamard(n1)
-        for uniform_axis, mask in ((0, mask1), (1, ~mask1)):
-            if not mask.any():
-                continue
-            masked = (t * mask[:, None, :]).reshape(size, n1, -1)
-            b2 = (h1 @ masked).reshape(t.shape)          # (c, a1, a0, k)
-            if uniform_axis == 0:
-                ref = b2[:, 0:1]       # frequency 0 on the x1 side
-            else:
-                ref = b2[:, :, 0:1]    # frequency 0 on the x0 side
-            part = (qsim._coordinate_trace_norms(ref + b2).sum()
-                    + qsim._coordinate_trace_norms(ref - b2).sum())
-            total += theta_prior * freq_prior * 0.25 * float(part)
-    return total, prob_c1
+    theta_prior = freq_prior = 2.0 ** (-len(tab.theta))
+    prob_c1 = theta_prior * float(tab.p.sum(axis=0)[mask1].sum())
+    coords = qsim._outer_coordinates(tab.a.swapaxes(0, 1))
+    size, n1, n0 = coords.shape[:3]                      # (c, x1, x0, k)
+    t = hadamard(n0) @ coords                            # (c, x1, a0, k)
+    h1 = hadamard(n1)
+    parts = [0.0, 0.0]
+    for uniform_axis, mask in ((0, mask1), (1, ~mask1)):
+        if not mask.any():
+            continue
+        masked = (t * mask[:, None, :]).reshape(size, n1, -1)
+        b2 = (h1 @ masked).reshape(t.shape)              # (c, a1, a0, k)
+        if uniform_axis == 0:
+            ref = b2[:, 0:1]           # frequency 0 on the x1 side
+        else:
+            ref = b2[:, :, 0:1]        # frequency 0 on the x0 side
+        part = (qsim._coordinate_trace_norms(ref + b2).sum()
+                + qsim._coordinate_trace_norms(ref - b2).sum())
+        parts[uniform_axis] = theta_prior * freq_prior * 0.25 * float(part)
+    return prob_c1, parts[0], parts[1]
+
+
+def _sender_distance(attack: _EprAttack
+                     ) -> tuple[float, float, float, float]:
+    """alpha, tau, the family-averaged distance and P[C' = 1] from one
+    `split_walk`.  Each string's terms are kept (3 floats per string); the
+    strings whose mask moved are redone under the final tau, and the terms
+    are added in walk order, as a pass under the final tau alone would."""
+    terms = [None] * 2 ** attack.n
+
+    def visit(s, tab, mask):
+        terms[s] = _sender_terms(tab, mask)
+
+    alpha, tau, stale = attack.split_walk(visit)
+    for s, theta, _ in stale:
+        tab = attack.tableau(theta)
+        terms[s] = _sender_terms(tab, tab.heavy(tau))
+    distance = prob_c1 = 0.0
+    for p_term, d_term0, d_term1 in terms:
+        prob_c1 += p_term
+        distance += d_term0        # an empty branch adds exactly 0.0
+        distance += d_term1
+    return alpha, tau, distance, prob_c1
 
 
 def security_error_bound(alpha: float, q: int, l: int) -> dict:
@@ -732,10 +797,7 @@ def check_sender_security(receiver: BoundedAdversary, l: int = 1
     if l != 1:
         raise ValueError("exact family averaging needs l = 1")
     _guard_attack_size(receiver)
-    attack = _EprAttack(receiver)
-    alpha = attack.min_entropy_alpha()
-    tau = 2.0 ** (-alpha / 2.0)
-    distance, prob_c1 = _family_average_distance(attack, tau)
+    alpha, tau, distance, prob_c1 = _sender_distance(_EprAttack(receiver))
     chain = security_error_bound(alpha, receiver.q, l)
     bound = chain["capped"]
     return SenderSecurityReport(
@@ -813,7 +875,8 @@ def _povm_bracket(ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Jezek-Rehacek-Fiurasek fixed point E_x <- R^-1 M_x E_x M_x R^-1 from the
     square-root measurement, on factors, so that SQUAREM extrapolation
     (Varadhan-Roland 2008) stays a POVM; the lower end is the best value or
-    single guess (exact for D = 1).  Dual: Y + s I, s the largest positive
+    single guess.  D = 1 stacks are numbers, and both ends are their
+    maximum, exactly.  Dual: Y + s I, s the largest positive
     eigenvalue sum of any M_x - Y, dominates every M_x: tr Y + D s, or the
     total trace, is an upper end.  Stacks leave once POVM_GAP close."""
     ops = np.asarray(ops)
@@ -821,6 +884,8 @@ def _povm_bracket(ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = ops.reshape((-1, outcomes, d, d))
     traces = np.einsum("nxii->nx", m).real
     lower, upper = traces.max(axis=1), traces.sum(axis=1)
+    if d == 1:                 # numbers: the best opening is the largest
+        return lower.reshape(batch), lower.reshape(batch).copy()
     vals, vecs = np.linalg.eigh(m)
     b, y = _povm_step(m, (vecs * np.sqrt(np.maximum(vals, 0.0))[..., None, :])
                       @ vecs.conj().swapaxes(-1, -2))
@@ -899,51 +964,48 @@ def binding_error_bound(alpha: float, q: int) -> float:
     return 2.0 * 2.0 ** ((1.0 + q - alpha / 2.0) / 2.0)
 
 
-def check_binding(committer: BoundedAdversary) -> BindingReport:
-    """Exact binding audit of one bounded committer.
+def _add_openings(grid: np.ndarray, prob_bb: np.ndarray, tab: _Tableau,
+                  mask1: np.ndarray, sign: float = 1.0,
+                  unconditional: bool = True) -> None:
+    """Add one basis string's opening coordinates to ``grid`` [cond or unc,
+    target t, coordinate, x'_0, ..., x'_(n-1), record] and its split-bit
+    mass to ``prob_bb``; sign -1 takes a conditional contribution back out.
 
-    The committer never learns the verifier's basis string, so its opening
-    measurement may depend only on its record; the relevant operators are
-    therefore basis-averaged before the per-record optimization.  One
-    `_povm_bracket` call brackets the best opening of every record and
-    target, with and without the split bit, for any q.
+    Bound bit 1 - t leaves subset t as the hard target: the operators are
+    summed over the other subset, and the (coordinate, x_t, record) sum is
+    added along the positions of subset t, broadcast over the others.  The
+    mask is constant along x0, so for t = 1 the masked sum is the
+    unconditional one times the mask.  Unconditional openings ignore the
+    split bit.
     """
-    _guard_attack_size(committer)
-    attack = _EprAttack(committer)
-    n, q = committer.n, committer.q
-    alpha = attack.min_entropy_alpha()
-    tau = 2.0 ** (-alpha / 2.0)
-    k_dim = attack.k_dim
-    theta_prior = 2.0 ** (-n)
+    coords = qsim._outer_coordinates(tab.a)              # (c, x0, x1, k)
+    mass = tab.p.sum(axis=0)
+    theta_prior = 2.0 ** (-len(tab.theta))
+    for t, keep in ((0, mask1), (1, ~mask1)):
+        prob_bb[1 - t] += sign * theta_prior * float(mass[keep].sum())
+        if t == 0:
+            cond = (coords * keep).sum(axis=2)
+            unc = coords.sum(axis=2) if unconditional else None
+        else:
+            unc = coords.sum(axis=1)
+            cond = unc * keep
+        shape = ((len(coords),) + tuple(2 if b == t else 1 for b in tab.theta)
+                 + (mass.shape[-1],))
+        grid[0, t] += (sign * cond).reshape(shape)
+        if unconditional:
+            grid[1, t] += unc.reshape(shape)
 
-    # real coordinates of the basis-summed opening operators [cond or unc,
-    # target t, coordinate, x', record], scaled by theta's prior 2^-n once
-    # at the end (exact); sized from the first string's coordinates
-    opening = None
-    prob_bb = np.zeros(2)
 
-    for tab in attack.tableaux():
-        coords = qsim._outer_coordinates(tab.a)          # (c, x0, x1, k)
-        if opening is None:
-            opening = np.zeros((2, 2, len(coords), 2 ** n, k_dim))
-        mask1 = tab.heavy(tau)
-        mass = tab.p.sum(axis=0)
-        # bound bit 1 - t leaves subset t as the hard target: group by x_t
-        # and unpack the group index to the announced x'; unconditional
-        # openings ignore the split bit
-        for t, keep in ((0, mask1), (1, ~mask1)):
-            prob_bb[1 - t] += theta_prior * float(mass[keep].sum())
-            for acc, ops in ((opening[0, t], coords * keep),
-                             (opening[1, t], coords)):
-                acc += ops.sum(axis=2 - t)[:, tab.codes[t]]
-    opening *= theta_prior
-
+def _binding_report(committer: BoundedAdversary, alpha: float, tau: float,
+                    opening: np.ndarray, prob_bb: np.ndarray) -> BindingReport:
+    """Bracket the best openings of the summed opening coordinates
+    [cond or unc, target, coordinate, x', record] and assemble the report."""
     # complex (record, x') stacks of D x D operators, built once
     lower, upper = _povm_bracket(qsim._coordinate_matrices(
         np.moveaxis(opening, 2, 0)).swapaxes(2, 3))
     per_k_hi, open_hi = upper[0], upper[1].sum(axis=1)
 
-    eps_raw = binding_error_bound(alpha, q)
+    eps_raw = binding_error_bound(alpha, committer.q)
     eps = min(1.0, eps_raw)
     # cheat_joint[v]: best strategy aimed only at the bound-bit-v branch,
     # whose hard target is subset 1-v; the overall cheat strategy picks the
@@ -953,11 +1015,44 @@ def check_binding(committer: BoundedAdversary) -> BindingReport:
     cheat_lower = float(lower[0].max(axis=0).sum())
     weak_sum = float(open_hi.sum())
     return BindingReport(
-        name=committer.name, n=n, q=q, alpha=alpha, tau=tau,
-        prob_bound_bit=(float(prob_bb[0]), float(prob_bb[1])),
+        name=committer.name, n=committer.n, q=committer.q, alpha=alpha,
+        tau=tau, prob_bound_bit=(float(prob_bb[0]), float(prob_bb[1])),
         cheat_joint=(float(cheat_hi[0]), float(cheat_hi[1])),
         cheat_upper=cheat_upper, cheat_lower=cheat_lower,
         open_success=(float(open_hi[0]), float(open_hi[1])),
         eps_raw=eps_raw, eps=eps, trivial=eps_raw >= 1.0,
         holds=cheat_upper <= eps + SLACK,
         weak_sum=weak_sum, weak_holds=weak_sum <= 1.0 + eps + SLACK)
+
+
+def check_binding(committer: BoundedAdversary) -> BindingReport:
+    """Exact binding audit of one bounded committer.
+
+    The committer never learns the verifier's basis string, so its opening
+    measurement may depend only on its record; the relevant operators are
+    therefore basis-averaged before the per-record optimization.  One
+    `split_walk` sums them under each string's running mask; a string
+    whose mask moved is re-rotated and swaps its conditional contribution
+    for the one under the final tau.  One `_povm_bracket` call then
+    brackets the best opening of every record and target, with and without
+    the split bit, for any q.
+    """
+    _guard_attack_size(committer)
+    attack = _EprAttack(committer)
+    n = committer.n
+    # real coordinates of the basis-summed opening operators (D^2 of them
+    # for D <= 2, 2 D^2 above), scaled by theta's prior 2^-n once at the
+    # end (exact)
+    d = attack.mem_dim
+    grid = np.zeros((2, 2, d * d if d <= 2 else 2 * d * d) + (2,) * n
+                    + (attack.k_dim,))
+    prob_bb = np.zeros(2)
+    alpha, tau, stale = attack.split_walk(
+        lambda s, tab, mask: _add_openings(grid, prob_bb, tab, mask))
+    for s, theta, tau_s in stale:
+        tab = attack.tableau(theta)
+        _add_openings(grid, prob_bb, tab, tab.heavy(tau_s), -1.0, False)
+        _add_openings(grid, prob_bb, tab, tab.heavy(tau), 1.0, False)
+    opening = grid.reshape(grid.shape[:3] + (2 ** n, attack.k_dim))
+    opening *= 2.0 ** (-n)
+    return _binding_report(committer, alpha, tau, opening, prob_bb)

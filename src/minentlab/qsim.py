@@ -425,9 +425,21 @@ def partial_trace(op: DensityOperator, keep: Sequence[int]) -> DensityOperator:
 
 
 def _contract_axis(tensor: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
-    """Replace axis content z by sum_z mat[x, z] * tensor[..., z, ...]."""
-    t = np.tensordot(mat, tensor, axes=([1], [axis]))
-    return np.moveaxis(t, 0, axis)
+    """Replace axis content z by sum_z mat[x, z] * tensor[..., z, ...].
+
+    One matmul on the (left, d, right) view of the tensor, C-contiguous in
+    and out, so a chain of contractions copies nothing but its results.
+    When right is not a multiple of 4, each batch's GEMM would end in a
+    narrow column tile, which BLAS rounds differently from whole tiles (a
+    gemv for right = 1); such contractions run as one wide GEMM over the
+    moved axis instead, so every result rounds as in a single GEMM."""
+    shape = tensor.shape
+    left, right = math.prod(shape[:axis]), math.prod(shape[axis + 1:])
+    if right % 4:
+        return np.moveaxis(np.tensordot(mat, tensor, axes=([1], [axis])),
+                           0, axis)
+    t = np.matmul(mat, tensor.reshape(left, shape[axis], right))
+    return t.reshape(shape[:axis] + (mat.shape[0],) + shape[axis + 1:])
 
 
 @functools.cache

@@ -11,7 +11,10 @@ complex transforms for the family-averaged sender distance (the package
 transforms real coordinates), one hashed branch at a time for the
 privacy-amplification distance (the package reads a Walsh-Hadamard
 transform), and plain dictionary bookkeeping for protocol state
-enumeration.  Agreement between a package routine and its
+enumeration.  The sender and binding checks also have their former
+two-walk path here (alpha first, then every basis string under the final
+tau; the package keeps a running tau in one walk and redoes the strings
+whose heavy mask moved).  Agreement between a package routine and its
 oracle is evidence, not tautology.
 """
 
@@ -466,6 +469,86 @@ def family_average_distance_complex(attack, tau: float
                     + qsim._trace_norms(ref - b2).sum())
             total += theta_prior * freq_prior * 0.25 * float(part)
     return total, prob_c1
+
+
+def two_pass_alpha_tau(attack) -> tuple[float, float]:
+    """Exact alpha = H_min(X | Theta, K) and tau = 2^(-alpha/2) from a walk
+    of their own over the tableaux, the first of the two walks the package
+    used to make (it now keeps a running tau inside one walk)."""
+    worst = 0.0
+    for tab in attack.tableaux():
+        p = tab.p.reshape(-1, attack.k_dim)
+        pk = p.sum(axis=0)
+        live = pk > 1e-300
+        if not np.any(live):
+            continue
+        ratios = p[:, live].max(axis=0) / pk[live]
+        worst = max(worst, float(ratios.max()))
+    if worst <= 0.0:
+        raise ValueError("adversary state carries no probability mass")
+    alpha = 0.0 - math.log2(worst)
+    return alpha, 2.0 ** (-alpha / 2.0)
+
+
+def sender_two_pass(adv) -> tuple[float, float, float, float]:
+    """alpha, tau, the family-averaged distance and P[C' = 1] in two walks:
+    alpha first, then every basis string's distance terms under the final
+    tau, added as they come.  The real-coordinate arithmetic of the
+    package, without its running tau and redone strings."""
+    attack = protocols._EprAttack(adv)
+    alpha, tau = two_pass_alpha_tau(attack)
+    hadamard = protocols.hadamard
+    total = 0.0
+    prob_c1 = 0.0
+    theta_prior = freq_prior = 2.0 ** (-attack.n)
+    for tab in attack.tableaux():
+        mask1 = tab.heavy(tau)
+        prob_c1 += theta_prior * float(tab.p.sum(axis=0)[mask1].sum())
+        coords = qsim._outer_coordinates(tab.a.swapaxes(0, 1))
+        size, n1, n0 = coords.shape[:3]                  # (c, x1, x0, k)
+        t = hadamard(n0) @ coords                        # (c, x1, a0, k)
+        h1 = hadamard(n1)
+        for uniform_axis, mask in ((0, mask1), (1, ~mask1)):
+            if not mask.any():
+                continue
+            masked = (t * mask[:, None, :]).reshape(size, n1, -1)
+            b2 = (h1 @ masked).reshape(t.shape)          # (c, a1, a0, k)
+            if uniform_axis == 0:
+                ref = b2[:, 0:1]
+            else:
+                ref = b2[:, :, 0:1]
+            part = (qsim._coordinate_trace_norms(ref + b2).sum()
+                    + qsim._coordinate_trace_norms(ref - b2).sum())
+            total += theta_prior * freq_prior * 0.25 * float(part)
+    return alpha, tau, total, prob_c1
+
+
+def binding_openings_two_pass(adv):
+    """alpha, tau, the summed opening coordinates [cond or unc, target,
+    coordinate, x', record] and the split-bit masses of a committer, in two
+    walks: alpha first, then every basis string under the final tau,
+    gathered onto x' through each subset's substring codes."""
+    attack = protocols._EprAttack(adv)
+    alpha, tau = two_pass_alpha_tau(attack)
+    n = adv.n
+    theta_prior = 2.0 ** (-n)
+    opening = None
+    prob_bb = np.zeros(2)
+    for tab in attack.tableaux():
+        coords = qsim._outer_coordinates(tab.a)          # (c, x0, x1, k)
+        if opening is None:
+            opening = np.zeros((2, 2, len(coords), 2 ** n, attack.k_dim))
+        mask1 = tab.heavy(tau)
+        mass = tab.p.sum(axis=0)
+        for t, keep in ((0, mask1), (1, ~mask1)):
+            codes = protocols._subset_codes(
+                n, protocols._subset_indices(tab.theta, t))
+            prob_bb[1 - t] += theta_prior * float(mass[keep].sum())
+            for acc, ops in ((opening[0, t], coords * keep),
+                             (opening[1, t], coords)):
+                acc += ops.sum(axis=2 - t)[:, codes]
+    opening *= theta_prior
+    return alpha, tau, opening, prob_bb
 
 
 def ml_syndrome_decode_oracle(h_mat, syndrome, y):

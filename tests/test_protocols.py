@@ -245,6 +245,8 @@ def test_tableau_index_convention_matches_cq_table():
         strings = list(itertools.product((0, 1), repeat=n))
         assert [tab.theta for tab in tableaux] == strings, adv.name
         for tab in tableaux:
+            codes = [protocols._subset_codes(
+                n, protocols._subset_indices(tab.theta, b)) for b in (0, 1)]
             m1 = sum(tab.theta)
             assert tab.a.shape == (2 ** (n - m1), 2 ** m1, k_count, mem_dim)
             coords = qsim._outer_coordinates(tab.a)
@@ -254,7 +256,7 @@ def test_tableau_index_convention_matches_cq_table():
                 want = np.zeros((k_count, mem_dim), complex)
                 for k, amp in table[(x, tab.theta)]:
                     want[k] = amp
-                cell = (tab.codes[0][xi], tab.codes[1][xi])
+                cell = (codes[0][xi], codes[1][xi])
                 cells.add(cell)
                 assert np.allclose(tab.a[cell] * scale, want, atol=1e-12)
                 assert np.allclose(tab.p[cell] * scale ** 2,
@@ -267,6 +269,11 @@ def test_tableau_index_convention_matches_cq_table():
             assert len(cells) == 2 ** n      # (x0, x1) covers every x once
 
 
+def one_pass_alpha(adv):
+    """alpha from the checks' one walk, visiting nothing."""
+    return protocols._EprAttack(adv).split_walk(lambda s, tab, mask: None)[0]
+
+
 def test_alpha_matches_oracle():
     cases = [all_plus(4), store_one_diag(4), all_breidbart(3)]
     rng = np.random.default_rng(17)
@@ -274,18 +281,18 @@ def test_alpha_matches_oracle():
                      + 1j * rng.normal(size=(16, 16)))[0]
     cases.append(BoundedAdversary("haar", 3, kept=(0,), ancillas=1, unitary=u))
     for adv in cases:
-        engine = protocols._EprAttack(adv).min_entropy_alpha()
+        engine = one_pass_alpha(adv)
         oracle = oracles.min_entropy_alpha_oracle(adv)
         assert engine == pytest.approx(oracle, abs=1e-9), adv.name
 
 
 def test_alpha_known_values():
-    zero = protocols._EprAttack(all_plus(4)).min_entropy_alpha()
+    zero = one_pass_alpha(all_plus(4))
     assert zero == pytest.approx(0.0, abs=1e-12)
     assert math.copysign(1.0, zero) == 1.0      # +0.0, reported as 0.0
-    assert protocols._EprAttack(store_one_diag(5)).min_entropy_alpha() == (
+    assert one_pass_alpha(store_one_diag(5)) == (
         pytest.approx(1.0, abs=1e-9))
-    got = protocols._EprAttack(all_breidbart(3)).min_entropy_alpha()
+    got = one_pass_alpha(all_breidbart(3))
     assert got == pytest.approx(-3.0 * math.log2(math.cos(math.pi / 8) ** 2),
                                 abs=1e-12)
 
@@ -314,13 +321,10 @@ def test_sender_distance_matches_oracle():
     cases.append(product_adversary("q2b", 4, {0: "x", 3: "breidbart"},
                                    kept=(1, 2)))
     for adv in cases:
-        attack = protocols._EprAttack(adv)
-        alpha = attack.min_entropy_alpha()
-        tau = 2.0 ** (-alpha / 2.0)
-        engine_d, engine_p = protocols._family_average_distance(attack, tau)
-        oracle_d, oracle_p = oracles.sender_distance_oracle(adv, tau)
-        assert engine_d == pytest.approx(oracle_d, abs=1e-9), adv.name
-        assert engine_p == pytest.approx(oracle_p, abs=1e-9), adv.name
+        rep = protocols.check_sender_security(adv)
+        oracle_d, oracle_p = oracles.sender_distance_oracle(adv, rep.tau)
+        assert rep.distance == pytest.approx(oracle_d, abs=1e-9), adv.name
+        assert rep.prob_cprime1 == pytest.approx(oracle_p, abs=1e-9), adv.name
 
 
 def test_sender_distance_matches_complex_reference():
@@ -336,13 +340,86 @@ def test_sender_distance_matches_complex_reference():
                      + 1j * rng.normal(size=(64, 64)))[0]
     cases.append(BoundedAdversary("haar", 5, kept=(3,), ancillas=1, unitary=u))
     for adv in cases:
-        attack = protocols._EprAttack(adv)
-        tau = 2.0 ** (-attack.min_entropy_alpha() / 2.0)
-        engine = protocols._family_average_distance(attack, tau)
-        reference = oracles.family_average_distance_complex(attack, tau)
+        rep = protocols.check_sender_security(adv)
+        engine = (rep.distance, rep.prob_cprime1)
+        reference = oracles.family_average_distance_complex(
+            protocols._EprAttack(adv), rep.tau)
         for got, want in zip(engine, reference):
             assert want > 0.0, adv.name
             assert got == pytest.approx(want, rel=1e-13, abs=0.0), adv.name
+
+
+def haar_one_ancilla(n, seed):
+    """Dense one-ancilla attack keeping one random wire (q = 1)."""
+    rng = np.random.default_rng(seed)
+    dim = 2 ** (n + 1)
+    u = np.linalg.qr(rng.normal(size=(dim, dim))
+                     + 1j * rng.normal(size=(dim, dim)))[0]
+    return BoundedAdversary(f"haar-n{n}-{seed}", n,
+                            kept=(int(rng.integers(n + 1)),), ancillas=1,
+                            unitary=u)
+
+
+@pytest.fixture
+def redone(monkeypatch):
+    """The basis strings a check re-rotates after its walk."""
+    strings = []
+    tableau = protocols._EprAttack.tableau
+
+    def counted(self, theta):
+        strings.append(theta)
+        return tableau(self, theta)
+
+    monkeypatch.setattr(protocols._EprAttack, "tableau", counted)
+    return strings
+
+
+def test_one_walk_sender_matches_two_walks(redone):
+    # dense receivers whose early heavy masks move once tau reaches its
+    # final value, and built-ins whose masks never move: the one-walk
+    # figures are bit for bit those of alpha first, distance second
+    cases = [(haar_one_ancilla(5, 3), 11), (haar_one_ancilla(6, 3), 14),
+             (all_plus(5), 0), (store_one_diag(5), 0), (all_breidbart(5), 0)]
+    for adv, count in cases:
+        redone.clear()
+        rep = protocols.check_sender_security(adv)
+        assert len(redone) == count, adv.name
+        assert (rep.alpha, rep.tau, rep.distance, rep.prob_cprime1) == (
+            oracles.sender_two_pass(adv)), adv.name
+
+
+def test_one_walk_binding_matches_two_walks(redone):
+    # a redone string swaps its running-mask conditional openings for the
+    # final ones; the bracket ends agree with the two-walk operators within
+    # the solver's tolerance, and exactly when nothing is redone
+    cases = [(haar_one_ancilla(3, 4), 3), (haar_one_ancilla(4, 2), 5),
+             (store_one_diag(4), 0), (all_breidbart(4), 0)]
+    for adv, count in cases:
+        redone.clear()
+        rep = protocols.check_binding(adv)
+        assert len(redone) == count, adv.name
+        ref = protocols._binding_report(
+            adv, *oracles.binding_openings_two_pass(adv))
+        assert (rep.alpha, rep.tau) == (ref.alpha, ref.tau), adv.name
+        if count == 0:
+            assert rep == ref, adv.name
+            continue
+        for name in ("prob_bound_bit", "cheat_joint", "open_success",
+                     "cheat_upper", "cheat_lower", "weak_sum"):
+            assert getattr(rep, name) == pytest.approx(
+                getattr(ref, name), abs=1e-9), (adv.name, name)
+
+
+def test_q0_binding_openings_are_exact():
+    # with no stored qubit every opening operator is a number, and the best
+    # opening of a record is the largest: both bracket ends are exactly
+    # sum over records of the largest operator over targets and x'
+    for adv in (all_plus(5), all_breidbart(5), all_plus(7)):
+        rep = protocols.check_binding(adv)
+        opening = oracles.binding_openings_two_pass(adv)[2]
+        best = opening[0, :, 0].max(axis=1)           # (target, record)
+        want = float(best.max(axis=0).sum())
+        assert rep.cheat_lower == rep.cheat_upper == want, adv.name
 
 
 def test_sender_check_builds_no_complex_operator_for_q_le_1(monkeypatch):

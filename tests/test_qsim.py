@@ -311,6 +311,43 @@ def test_basis_string_walk_order_values_and_contraction_count(monkeypatch):
                 assert len(calls) == prefixes * (2 if density else 1)
 
 
+def test_contract_axis_matches_einsum():
+    # every axis of qubit and qutrit tensors, real and complex matrices,
+    # against an einsum reference; and every string of a density walk
+    # against U rho U^dagger with U the Kronecker product of its rotations
+    rng = np.random.default_rng(47)
+    letters = "abcdefg"
+    for d, sizes in ((2, range(1, 8)), (3, range(1, 5))):
+        for n in sizes:
+            t = (rng.normal(size=(d,) * n)
+                 + 1j * rng.normal(size=(d,) * n))
+            for mat in (rng.normal(size=(d, d)),
+                        rng.normal(size=(d, d))
+                        + 1j * rng.normal(size=(d, d))):
+                for axis in range(n):
+                    sub = letters[:n]
+                    out = sub[:axis] + "z" + sub[axis + 1:]
+                    want = np.einsum(f"z{sub[axis]},{sub}->{out}", mat, t)
+                    got = qsim._contract_axis(t, mat, axis)
+                    assert got.shape == want.shape, (d, n, axis)
+                    assert np.allclose(got, want, rtol=1e-13, atol=1e-14), \
+                        (d, n, axis)
+    comp, diag, circ = qsim.standard_bases_qubit()
+    rotations = (None, diag.vectors.conj().T, circ.vectors.conj().T)
+    for n in (1, 2, 3):
+        rho = oracles.random_density(2 ** n, rng)
+        walk = qsim.basis_string_walk(rho.reshape((2,) * (2 * n)),
+                                      rotations, n, density=True)
+        for digits, got in walk:
+            u = np.ones((1, 1))
+            for b in digits:
+                u = np.kron(u, np.eye(2) if rotations[b] is None
+                            else rotations[b])
+            want = u @ rho @ u.conj().T
+            assert np.allclose(got.reshape(2 ** n, 2 ** n), want,
+                               rtol=1e-13, atol=1e-14), digits
+
+
 def test_epr_pair_correlations():
     pair = qsim.epr_pair()
     comp, diag, circ = qsim.standard_bases_qubit()
