@@ -37,7 +37,7 @@ post-measurement operators.  The operators enter as real coordinates (mass,
 trace and gap vector, or the float64 view for q = 2), so the transforms are
 float64 GEMMs; the x0 transform of each basis string is shared by both
 branches of the split, and q <= 1 trace norms are one closed form.  At n=8
-a sender check takes 0.9-1.3 s for all-plus and breidbart and 1.4-2.0 s
+a sender check takes 0.6-0.95 s for all-plus and breidbart and 1.4-1.8 s
 for store-one-diag (one BLAS thread, 2-core x86-64).  Tests cross-check
 the distance against direct enumeration at n <= 4 and against the complex
 transform path up to n = 7.
@@ -1040,12 +1040,10 @@ def check_binding(committer: BoundedAdversary) -> BindingReport:
     _guard_attack_size(committer)
     attack = _EprAttack(committer)
     n = committer.n
-    # real coordinates of the basis-summed opening operators (D^2 of them
-    # for D <= 2, 2 D^2 above), scaled by theta's prior 2^-n once at the
-    # end (exact)
-    d = attack.mem_dim
-    grid = np.zeros((2, 2, d * d if d <= 2 else 2 * d * d) + (2,) * n
-                    + (attack.k_dim,))
+    # real coordinates of the basis-summed opening operators, scaled by
+    # theta's prior 2^-n once at the end (exact)
+    grid = np.zeros((2, 2, qsim._coordinate_count(attack.mem_dim))
+                    + (2,) * n + (attack.k_dim,))
     prob_bb = np.zeros(2)
     alpha, tau, stale = attack.split_walk(
         lambda s, tab, mask: _add_openings(grid, prob_bb, tab, mask))

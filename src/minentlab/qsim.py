@@ -276,6 +276,11 @@ def _trace_norms(mats: np.ndarray) -> np.ndarray:
 #          eigenvalues are (tr +- |gap|) / 2;
 #   D > 2: the float64 view of the complex matrix, 2 D^2 numbers.
 
+def _coordinate_count(d: int) -> int:
+    """C, the number of real coordinates of one D x D Hermitian operator."""
+    return d * d if d <= 2 else 2 * d * d
+
+
 def _coordinates(mats: np.ndarray) -> np.ndarray:
     """Real coordinates (C, ...) of a Hermitian (..., D, D) stack."""
     d = mats.shape[-1]
@@ -291,7 +296,7 @@ def _coordinates(mats: np.ndarray) -> np.ndarray:
         return out
     flat = np.ascontiguousarray(mats, dtype=np.complex128).view(np.float64)
     return np.ascontiguousarray(np.moveaxis(
-        flat.reshape(mats.shape[:-2] + (2 * d * d,)), -1, 0))
+        flat.reshape(mats.shape[:-2] + (_coordinate_count(d),)), -1, 0))
 
 
 def _coordinate_matrices(coords: np.ndarray) -> np.ndarray:
@@ -324,7 +329,7 @@ def _outer_coordinates(amps: np.ndarray) -> np.ndarray:
     if d > 2:
         return _coordinates(amps[..., :, None] * amps[..., None, :].conj())
     re, im = np.moveaxis(amps.real, -1, 0), np.moveaxis(amps.imag, -1, 0)
-    out = np.empty((d * d,) + amps.shape[:-1])
+    out = np.empty((_coordinate_count(d),) + amps.shape[:-1])
     if d == 1:
         np.multiply(re[0], re[0], out=out[0])
         out[0] += im[0] * im[0]
@@ -425,21 +430,9 @@ def partial_trace(op: DensityOperator, keep: Sequence[int]) -> DensityOperator:
 
 
 def _contract_axis(tensor: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
-    """Replace axis content z by sum_z mat[x, z] * tensor[..., z, ...].
-
-    One matmul on the (left, d, right) view of the tensor, C-contiguous in
-    and out, so a chain of contractions copies nothing but its results.
-    When right is not a multiple of 4, each batch's GEMM would end in a
-    narrow column tile, which BLAS rounds differently from whole tiles (a
-    gemv for right = 1); such contractions run as one wide GEMM over the
-    moved axis instead, so every result rounds as in a single GEMM."""
-    shape = tensor.shape
-    left, right = math.prod(shape[:axis]), math.prod(shape[axis + 1:])
-    if right % 4:
-        return np.moveaxis(np.tensordot(mat, tensor, axes=([1], [axis])),
-                           0, axis)
-    t = np.matmul(mat, tensor.reshape(left, shape[axis], right))
-    return t.reshape(shape[:axis] + (mat.shape[0],) + shape[axis + 1:])
+    """Replace axis content z by sum_z mat[x, z] * tensor[..., z, ...]."""
+    t = np.tensordot(mat, tensor, axes=([1], [axis]))
+    return np.moveaxis(t, 0, axis)
 
 
 @functools.cache

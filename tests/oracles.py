@@ -492,34 +492,17 @@ def two_pass_alpha_tau(attack) -> tuple[float, float]:
 
 def sender_two_pass(adv) -> tuple[float, float, float, float]:
     """alpha, tau, the family-averaged distance and P[C' = 1] in two walks:
-    alpha first, then every basis string's distance terms under the final
-    tau, added as they come.  The real-coordinate arithmetic of the
-    package, without its running tau and redone strings."""
+    alpha first, then every basis string's `protocols._sender_terms` under
+    the final tau, added in theta order.  The package's per-string
+    arithmetic, without its running tau and redone strings."""
     attack = protocols._EprAttack(adv)
     alpha, tau = two_pass_alpha_tau(attack)
-    hadamard = protocols.hadamard
-    total = 0.0
-    prob_c1 = 0.0
-    theta_prior = freq_prior = 2.0 ** (-attack.n)
+    total = prob_c1 = 0.0
     for tab in attack.tableaux():
-        mask1 = tab.heavy(tau)
-        prob_c1 += theta_prior * float(tab.p.sum(axis=0)[mask1].sum())
-        coords = qsim._outer_coordinates(tab.a.swapaxes(0, 1))
-        size, n1, n0 = coords.shape[:3]                  # (c, x1, x0, k)
-        t = hadamard(n0) @ coords                        # (c, x1, a0, k)
-        h1 = hadamard(n1)
-        for uniform_axis, mask in ((0, mask1), (1, ~mask1)):
-            if not mask.any():
-                continue
-            masked = (t * mask[:, None, :]).reshape(size, n1, -1)
-            b2 = (h1 @ masked).reshape(t.shape)          # (c, a1, a0, k)
-            if uniform_axis == 0:
-                ref = b2[:, 0:1]
-            else:
-                ref = b2[:, :, 0:1]
-            part = (qsim._coordinate_trace_norms(ref + b2).sum()
-                    + qsim._coordinate_trace_norms(ref - b2).sum())
-            total += theta_prior * freq_prior * 0.25 * float(part)
+        p_term, d_term0, d_term1 = protocols._sender_terms(tab, tab.heavy(tau))
+        prob_c1 += p_term
+        total += d_term0
+        total += d_term1
     return alpha, tau, total, prob_c1
 
 
