@@ -92,15 +92,12 @@ def _basis_matrix(spec) -> np.ndarray:
     return arr
 
 
-def _hadamard_wires(arr: np.ndarray, theta: Sequence[int],
-                    offsets: Sequence[int] = (0,)) -> np.ndarray:
+def _hadamard_wires(arr: np.ndarray, theta: Sequence[int]) -> np.ndarray:
     """Rotate the [+,x]_theta measurement to the computational one: apply H
-    to axis offset + i of arr, for each offset, wherever theta[i] = 1.  H is
-    real and symmetric, so it serves row and column axes alike."""
+    to axis i of arr wherever theta[i] = 1."""
     for i, t in enumerate(theta):
         if t:
-            for offset in offsets:
-                arr = qsim._contract_axis(arr, _H2, offset + i)
+            arr = qsim._contract_axis(arr, _H2, i)
     return arr
 
 
@@ -227,9 +224,14 @@ def run_epr_ot(n: int, l: int, c: int, seed: int) -> OtTranscript:
     """EPR variant of the honest run: the receiver measures halves of EPR
     pairs first, then the sender measures her halves in random bases.
 
-    Pair i takes two uniforms, for the receiver's x'_i (the pair's marginal)
-    and then the sender's x_i (epr_outcome_table); both laws are computed
-    once per run.  Same joint distribution of (x, x', theta) as run_ot.
+    For any real basis {b_0, b_1}, (|00> + |11>)/sqrt2 = (|b_0 b_0> +
+    |b_1 b_1>)/sqrt2.  So the receiver's outcome x' in [+,x]_c is uniform,
+    and it leaves the sender's half in basis state x' of [+,x]_c.  Her
+    outcome in [+,x]_theta is then a prepare-and-measure outcome, drawn from
+    the one table of every honest run: P(x = 1) = outcome_table[c, x',
+    theta].  Pair i takes two uniforms, x'_i = u0 < 1/2 and then
+    x_i = u1 < that entry.  Same joint distribution of (x, x', theta) as
+    run_ot.
     """
     n, l, c = int(n), int(l), int(c)
     if not (1 <= n <= MAX_RUN_QUBITS and 1 <= l <= MAX_RUN_QUBITS
@@ -237,35 +239,12 @@ def run_epr_ot(n: int, l: int, c: int, seed: int) -> OtTranscript:
         raise ValueError(f"need 1 <= n, l <= {MAX_RUN_QUBITS}, c in {{0, 1}}")
     rng = np.random.default_rng(seed)
     theta = rng.integers(0, 2, size=n)
-    receiver = qsim.standard_bases_qubit()[c]
-    p1 = qsim.measure(qsim.epr_pair().to_density(), {1: receiver})[(1,)]
+    table = qsim.outcome_table(qsim.standard_bases_qubit()[:2])
     u = rng.random((n, 2))
-    x_prime = (u[:, 0] < p1).astype(int)
-    x = (u[:, 1] < epr_outcome_table(c)[theta, x_prime, 1]).astype(int)
+    x_prime = (u[:, 0] < 0.5).astype(int)
+    x = (u[:, 1] < table[c, x_prime, theta]).astype(int)
     return _ot_transcript(n, l, c, tuple(x.tolist()), tuple(theta.tolist()),
                           tuple(x_prime.tolist()), rng, seed, epr=True)
-
-
-def epr_outcome_table(c: int) -> np.ndarray:
-    """P(x | x', theta) for one EPR pair, receiver basis [+,x]_c.
-
-    Exact projector arithmetic: the receiver's outcome x' collapses the
-    sender's half, measured in [+,x]_theta.  Shape (2 thetas, 2 receiver
-    outcomes, 2 sender outcomes).  run_epr_ot draws the sender's bit from
-    it.
-    """
-    comp, diag, _ = qsim.standard_bases_qubit()
-    bases = (comp, diag)
-    table = np.empty((2, 2, 2))
-    pair = qsim.epr_pair().to_density()
-    probs, branches = qsim.measure(pair, {1: bases[int(c)]}, return_branches=True)
-    for xp in range(2):
-        residual = qsim.partial_trace(branches[(xp,)], [0]).normalized()
-        for t in range(2):
-            out = qsim.measure(residual, {0: bases[t]})
-            table[t, xp, 0] = out[(0,)]
-            table[t, xp, 1] = out[(1,)]
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +257,9 @@ class ScriptedSender:
 
     ``state`` lives on n transmitted qubits (first) plus an arbitrary kept
     register (side_dims).  ``theta``, ``f0``, ``f1`` are the classical
-    announcements.  Scripts are deterministic; mixtures can be checked
-    script by script since the security figure is linear in the script.
+    announcements; both hashes take n input bits.  Scripts are
+    deterministic; mixtures can be checked script by script since the
+    security figure is linear in the script.
     """
 
     label: str
@@ -297,6 +277,10 @@ class ScriptedSender:
                 f"script state dims {self.state.dims} != {expect}")
         if len(self.theta) != self.n:
             raise ValueError("theta length mismatch")
+        if not self.f0.input_bits == self.f1.input_bits == self.n:
+            raise ValueError(
+                f"hashes take {self.f0.input_bits} and {self.f1.input_bits} "
+                f"input bits, need n = {self.n}")
 
 
 @dataclass(frozen=True)
@@ -325,22 +309,18 @@ class ReceiverSecurityReport:
                 "holds": self.holds}
 
 
-def _rotated_side_ops(state, n: int, side_dim: int,
-                      basis_bits: Sequence[int]) -> np.ndarray:
+def _rotated_side_ops(vectors: np.ndarray, weights: np.ndarray, n: int,
+                      side_dim: int, basis_bits: Sequence[int]) -> np.ndarray:
     """Sub-normalized side-register operators per measurement outcome.
 
-    Measures all n qubits, qubit i in basis [+,x]_{basis_bits[i]}; returns
-    array (2^n, side_dim, side_dim).
+    Measures all n qubits of the state whose `qsim.spectral_tensor` is
+    (vectors, weights), qubit i in basis [+,x]_{basis_bits[i]}; returns
+    array (2^n, side_dim, side_dim), the weighted sum of the outer products
+    of the rotated vectors.
     """
-    if isinstance(state, qsim.StateVector):
-        amp = _hadamard_wires(state.amplitudes.reshape((2,) * n + (side_dim,)),
-                              basis_bits)
-        amp = amp.reshape(2 ** n, side_dim)
-        return np.einsum("xi,xj->xij", amp, amp.conj())
-    rho = state.matrix.reshape((2,) * n + (side_dim,) + (2,) * n + (side_dim,))
-    rho = _hadamard_wires(rho, basis_bits, (0, n + 1))
-    rho = rho.reshape(2 ** n, side_dim, 2 ** n, side_dim)
-    return np.einsum("xixj->xij", rho)
+    amp = _hadamard_wires(vectors, basis_bits)
+    amp = amp.reshape(2 ** n, side_dim, -1)
+    return np.einsum("xir,r,xjr->xij", amp, weights, amp.conj())
 
 
 def check_receiver_security(sender: ScriptedSender, l: int,
@@ -355,7 +335,8 @@ def check_receiver_security(sender: ScriptedSender, l: int,
     distance between the two (choice, output, sender-register) states, plus
     the factorization defect of the comparison state.  Both vanish for any
     script: the two experiments differ only in bases of qubits that get
-    traced out.
+    traced out.  ``l`` must be the output length of both hashes; a
+    different value raises ValueError.
     """
     n = sender.n
     if n > MAX_RECEIVER_QUBITS:
@@ -366,6 +347,10 @@ def check_receiver_security(sender: ScriptedSender, l: int,
     if prior.shape != (2,) or abs(prior.sum() - 1.0) > 1e-9 or prior.min() < 0:
         raise ValueError("prior_c must be a distribution over {0, 1}")
     hashes = (sender.f0, sender.f1)
+    if not l == hashes[0].output_bits == hashes[1].output_bits:
+        raise ValueError(
+            f"hashes give {hashes[0].output_bits} and {hashes[1].output_bits} "
+            f"output bits, need l = {l}")
     # out[c][x]: hash c of the subset-c substring of x, as an integer
     out = []
     for c in (0, 1):
@@ -374,7 +359,7 @@ def check_receiver_security(sender: ScriptedSender, l: int,
         # (the benchmark's tracer) sees these calls
         out.append(hashing.hash_output_table(hashes[c], len(subset))
                    [_subset_codes(n, subset)])
-    size = 2 ** max(f.output_bits for f in hashes)
+    size = 2 ** l
     shape = (side_dim, side_dim)
 
     # (choice, output) branches of both experiments; (choice, s0, s1)
@@ -382,9 +367,10 @@ def check_receiver_security(sender: ScriptedSender, l: int,
     real = np.zeros((2, size) + shape, complex)
     ideal = np.zeros((2, size) + shape, complex)
     triple = np.zeros((2, size, size) + shape, complex)
-    own = _rotated_side_ops(sender.state, n, side_dim, sender.theta)
+    spectral = qsim.spectral_tensor(sender.state)
+    own = _rotated_side_ops(*spectral, n, side_dim, sender.theta)
     for c in (0, 1):
-        ops = _rotated_side_ops(sender.state, n, side_dim, [c] * n)
+        ops = _rotated_side_ops(*spectral, n, side_dim, [c] * n)
         np.add.at(real[c], out[c], prior[c] * ops)
         np.add.at(ideal[c], out[c], prior[c] * own)
         np.add.at(triple[c], (out[0], out[1]), prior[c] * own)

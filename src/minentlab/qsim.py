@@ -5,13 +5,17 @@ dimensions, projective measurements with sub-normalized branch operators,
 the prepare-and-measure outcome table of a qubit basis family, partial
 trace, trace norms and trace distance, and Haar-random bases.  Everything
 is exact at desk scale (up to roughly twelve qubits); there is no sparse or
-stabilizer path and no approximation anywhere.  Trace norms come from one
-batched kernel over stacks of Hermitian operators: one closed form for 1x1
-and 2x2 blocks, read from the operators' real coordinates, LAPACK eigvalsh
-above that.  Checkers that sum or transform many operators do so on the
-real coordinates, the Walsh-Hadamard transforms as GEMMs with the cached
-Sylvester-Hadamard matrix `hadamard`, and turn them back into matrices
-only where a solver needs them.
+stabilizer path and no approximation anywhere.  A state is rotated in one
+form only: `spectral_tensor` turns a pure state into its amplitudes and a
+density operator into its eigenvectors and eigenvalues, so every rotation
+contracts state vectors and a mixed state's figures are weighted sums over
+its eigenvectors.  Trace norms come from one batched kernel over stacks of
+Hermitian operators: one closed form for 1x1 and 2x2 blocks, read from the
+operators' real coordinates, LAPACK eigvalsh above that.  Checkers that
+sum or transform many operators do so on the real coordinates, the
+Walsh-Hadamard transforms as GEMMs with the cached Sylvester-Hadamard
+matrix `hadamard`, and turn them back into matrices only where a solver
+needs them.
 
 All functions are pure.  Randomness enters only through an explicitly passed
 ``numpy.random.Generator``.
@@ -375,6 +379,23 @@ def _operand_matrix(x) -> tuple[tuple[int, ...] | None, np.ndarray]:
     return None, arr
 
 
+def spectral_tensor(state) -> tuple[np.ndarray, np.ndarray]:
+    """A state as (vectors, weights): ``vectors`` has shape dims + (r,),
+    and the state is sum_r weights[r] |v_r><v_r| with v_r = vectors[..., r].
+
+    A StateVector is its amplitudes with weights [1.0].  A DensityOperator
+    is its eigh eigenpairs, every one of them: no rank cut and no clipping
+    of negative eigenvalues, so the sum is the operator as given.  Raises
+    TypeError on anything else.
+    """
+    if isinstance(state, StateVector):
+        return state.amplitudes.reshape(state.dims + (1,)), np.ones(1)
+    if isinstance(state, DensityOperator):
+        weights, vectors = np.linalg.eigh(state.matrix)
+        return vectors.reshape(state.dims + (-1,)), weights
+    raise TypeError("state must be a StateVector or DensityOperator")
+
+
 def trace_distance(a, b) -> float:
     """Trace distance (1/2)*tr|a - b| between two (sub-normalized) operators.
 
@@ -450,8 +471,7 @@ def hadamard(size: int) -> np.ndarray:
 
 
 def basis_string_walk(tensor: np.ndarray,
-                      rotations: Sequence[np.ndarray | None], n: int,
-                      density: bool = False
+                      rotations: Sequence[np.ndarray | None], n: int
                       ) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
     """Rotate the first n axes of ``tensor`` to every basis string.
 
@@ -459,18 +479,17 @@ def basis_string_walk(tensor: np.ndarray,
     range(len(rotations)), in lexicographic order with the first position
     most significant; ``rotated`` has position i contracted with
     ``rotations[digits[i]]`` on axis i, for i = 0..n-1 in that order.  A
-    None rotation leaves its axis untouched.  With ``density`` set, each
-    position is contracted a second time, with the conjugate rotation on
-    axis i + n (the column side of a density operator).
+    None rotation leaves its axis untouched.  A mixed state walks as the
+    vectors of `spectral_tensor`, its last axis left alone.
 
     The walk is depth-first: the tensor of each prefix is computed once and
     shared by every string that extends it, so each string gets exactly the
     contractions, in the same order, that rotating it from scratch would
     apply.  With k non-None rotations among |B| = len(rotations) the walk
-    makes k * (|B|^n - 1) / (|B| - 1) contractions, twice that with
-    ``density``: about k / (|B| - 1) per string instead of up to n.  One
-    tensor per prefix length is live, n + 1 at most.  The yielded arrays
-    may be views of one another: read, do not write.
+    makes k * (|B|^n - 1) / (|B| - 1) contractions: about k / (|B| - 1)
+    per string instead of up to n.  One tensor per prefix length is live,
+    n + 1 at most.  The yielded arrays may be views of one another: read,
+    do not write.
     """
     last = len(rotations) - 1
     digits = [0] * n
@@ -481,8 +500,6 @@ def basis_string_walk(tensor: np.ndarray,
             t, b = prefix[i], digits[i]
             if rotations[b] is not None:
                 t = _contract_axis(t, rotations[b], i)
-                if density:
-                    t = _contract_axis(t, rotations[b].conj(), i + n)
             prefix[i + 1] = t
         yield tuple(digits), prefix[n]
         start = n - 1
@@ -500,7 +517,8 @@ def measure(state, bases: Mapping[int, Basis], return_branches: bool = False):
     Parameters
     ----------
     state:
-        StateVector or DensityOperator.
+        StateVector or DensityOperator; the probabilities are read from its
+        `spectral_tensor`, the vectors rotated once and weighted.
     bases:
         Mapping {subsystem index: Basis} of the subsystems to measure.
     return_branches:
@@ -517,8 +535,7 @@ def measure(state, bases: Mapping[int, Basis], return_branches: bool = False):
     """
     basis_for = {int(i): b for i, b in bases.items()}
     targets = sorted(basis_for)
-    if not isinstance(state, (StateVector, DensityOperator)):
-        raise TypeError("state must be a StateVector or DensityOperator")
+    vectors, weights = spectral_tensor(state)
     dims = state.dims
     n = len(dims)
     if not targets:
@@ -533,19 +550,9 @@ def measure(state, bases: Mapping[int, Basis], return_branches: bool = False):
     out_dims = tuple(dims[i] for i in targets)
     sum_axes = tuple(i for i in range(n) if i not in targets)
 
-    if isinstance(state, StateVector):
-        psi = state.amplitudes.reshape(dims)
-        for i in targets:
-            psi = _contract_axis(psi, basis_for[i].vectors.conj().T, i)
-        prob_tensor = (np.abs(psi) ** 2)
-    else:
-        rho = state.matrix.reshape(dims + dims)
-        for i in targets:
-            u = basis_for[i].vectors
-            rho = _contract_axis(rho, u.conj().T, i)      # rows: U^dagger rho
-            rho = _contract_axis(rho, u.T, i + n)         # cols: rho U
-        diag = np.diagonal(rho.reshape(state.dim, state.dim)).real
-        prob_tensor = diag.reshape(dims)
+    for i in targets:
+        vectors = _contract_axis(vectors, basis_for[i].vectors.conj().T, i)
+    prob_tensor = (np.abs(vectors) ** 2) @ weights
     probs = prob_tensor.sum(axis=sum_axes) if sum_axes else prob_tensor
 
     prob_map: dict[tuple[int, ...], float] = {}

@@ -304,14 +304,15 @@ def verify_uncertainty_relation(state, basis_set: BasisSet,
     ``state`` is a StateVector or DensityOperator on n systems of the family
     dimension.  The joint of (outcome string, basis string) is computed
     exactly: |B|^n * d^n atoms, so keep n small (n <= 8 for qubit families).
-    One `qsim.basis_string_walk` rotates the state to every basis string,
-    sharing each prefix: about |B| / (|B| - 1) single-system contractions
-    per basis string (2 for BB84, 1.5 for six-state, twice that for a
-    density operator) instead of n, with at most n + 1 rotated tensors
-    live.  Also reports the exact conditional Shannon entropy H(X|Theta).
+    One `qsim.basis_string_walk` rotates the state's `qsim.spectral_tensor`
+    to every basis string, sharing each prefix: about |B| / (|B| - 1)
+    single-system contractions per basis string (2 for BB84, 1.5 for
+    six-state) instead of n, with at most n + 1 rotated tensors live.  A
+    density operator walks its eigenvectors together, and each string's
+    outcome law is their eigenvalue-weighted sum.  Also reports the exact
+    conditional Shannon entropy H(X|Theta).
     """
-    if not isinstance(state, (qsim.StateVector, qsim.DensityOperator)):
-        raise TypeError("state must be a StateVector or DensityOperator")
+    vectors, state_weights = qsim.spectral_tensor(state)
     d = basis_set.dim
     dims = state.dims
     if any(dd != d for dd in dims):
@@ -322,25 +323,16 @@ def verify_uncertainty_relation(state, basis_set: BasisSet,
     check_relation_size(basis_set, n)
     rotations = [b.vectors.conj().T for b in basis_set.bases]
 
-    pure = isinstance(state, qsim.StateVector)
-    if pure:
-        base_tensor = state.amplitudes.reshape(dims)
-    else:
-        base_tensor = state.matrix.reshape(dims + dims)
-
     theta_weight = nb ** (-n)
     weights = np.empty((nb ** n, d ** n))
     shannon_sum = 0.0
-    walk = qsim.basis_string_walk(base_tensor, rotations, n, density=not pure)
+    walk = qsim.basis_string_walk(vectors, rotations, n)
     for t_idx, (_, t) in enumerate(walk):
-        if pure:
-            probs = (np.abs(t) ** 2).reshape(-1)
-        else:
-            probs = np.diagonal(t.reshape(d ** n, d ** n)).real
+        probs = (np.abs(t) ** 2).reshape(d ** n, -1) @ state_weights
         shannon_sum += _entropy_bits(np.clip(probs, 0.0, None))
         weights[t_idx] = probs * theta_weight
     mass = float(weights.sum())
-    trace = 1.0 if pure else state.trace
+    trace = float(state_weights.sum())
     if abs(mass - trace) > 1e-8:
         raise RuntimeError(f"probability mass {mass} != state trace {trace}")
 

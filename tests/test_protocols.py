@@ -98,16 +98,27 @@ def test_honest_runs_match_per_qubit_reference():
 
 
 def test_epr_outcome_table_exact():
+    # exact projector arithmetic: the receiver's outcome x' in [+,x]_c is
+    # uniform and collapses the sender's half, measured in [+,x]_theta, to
+    # the prepare-and-measure law table[c, x', theta] that run_epr_ot draws
+    # the sender's bit from
+    bases = qsim.standard_bases_qubit()[:2]
+    table = qsim.outcome_table(bases)
     for c in (0, 1):
-        table = protocols.epr_outcome_table(c)
-        for t in (0, 1):
-            for xp in (0, 1):
+        probs, branches = qsim.measure(qsim.epr_pair().to_density(),
+                                       {1: bases[c]}, return_branches=True)
+        for xp in (0, 1):
+            assert probs[(xp,)] == pytest.approx(0.5, abs=1e-12)
+            half = qsim.partial_trace(branches[(xp,)], [0]).normalized()
+            for t in (0, 1):
+                out = qsim.measure(half, {0: bases[t]})
+                assert table[c, xp, t] == pytest.approx(out[(1,)], abs=1e-12)
                 if t == c:
                     # same basis: outcomes agree with certainty
-                    assert table[t, xp, xp] == pytest.approx(1.0, abs=1e-12)
+                    assert out[(xp,)] == pytest.approx(1.0, abs=1e-12)
                 else:
-                    assert table[t, xp, 0] == pytest.approx(0.5, abs=1e-12)
-                    assert table[t, xp, 1] == pytest.approx(0.5, abs=1e-12)
+                    assert out[(0,)] == pytest.approx(0.5, abs=1e-12)
+                    assert out[(1,)] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_run_epr_ot_frequencies():
@@ -706,3 +717,22 @@ def test_receiver_check_guards():
     big = script_battery(7, 1)[0]
     with pytest.raises(ValueError):
         protocols.check_receiver_security(big, 1)
+
+
+def test_receiver_check_rejects_mismatched_hash_lengths():
+    # hashes must take the n transmitted bits ...
+    rng = np.random.default_rng(2)
+    sender = script_battery(3, 1)[0]
+    for f0, f1 in ((sample_hash(2, 1, rng), sender.f1),
+                   (sender.f0, sample_hash(4, 1, rng))):
+        with pytest.raises(ValueError, match="input bits"):
+            ScriptedSender("bad", 3, sender.state, (), sender.theta, f0, f1)
+    # ... and the check's l must be the output length of both
+    for l in (2, 5):
+        with pytest.raises(ValueError, match="output bits"):
+            protocols.check_receiver_security(sender, l)
+    two = ScriptedSender("mixed-lengths", 3, sender.state, (), sender.theta,
+                         sample_hash(3, 1, rng), sample_hash(3, 2, rng))
+    for l in (1, 2, 5):
+        with pytest.raises(ValueError, match="output bits"):
+            protocols.check_receiver_security(two, l)

@@ -235,6 +235,32 @@ def test_measure_probabilities_and_branches():
     dephased = u @ np.diag(np.diagonal(rot)) @ u.conj().T
     total = sum(b.matrix for b in branches.values())
     assert np.allclose(total, dephased, atol=1e-10)
+    # the probabilities are the rotated diagonal, read from the spectral
+    # vectors
+    diagonal = np.diagonal(rot).real.reshape(2, 2)
+    for outcome, p in probs.items():
+        assert p == pytest.approx(diagonal[outcome], abs=1e-13)
+
+
+def test_spectral_tensor_reconstructs_states():
+    rng = np.random.default_rng(6)
+    psi = qsim.StateVector((2, 3), oracles.random_pure(6, rng))
+    vectors, weights = qsim.spectral_tensor(psi)
+    assert vectors.shape == (2, 3, 1)
+    assert weights.tolist() == [1.0]
+    assert np.array_equal(vectors.reshape(-1), psi.amplitudes)
+    # full-rank, sub-normalized and rank-one densities: every eigenpair is
+    # kept, so sum_r w_r |v_r><v_r| is the operator within rounding
+    full = oracles.random_density(6, rng)
+    pure = oracles.random_pure(6, rng)
+    for rho in (full, 0.4 * full, np.outer(pure, pure.conj())):
+        vectors, weights = qsim.spectral_tensor(
+            qsim.DensityOperator((2, 3), rho))
+        assert vectors.shape == (2, 3, 6) and weights.shape == (6,)
+        v = vectors.reshape(6, 6)
+        assert np.abs((v * weights) @ v.conj().T - rho).max() <= 1e-13
+    with pytest.raises(TypeError):
+        qsim.spectral_tensor(np.eye(2) / 2.0)
 
 
 def test_measure_diagonal_input_is_reproduced():
@@ -286,34 +312,34 @@ def test_basis_string_walk_order_values_and_contraction_count(monkeypatch):
         active = sum(u is not None for u in rotations)
         for n in range(1, 5):
             # a pure state of n qubits and a qutrit the walk leaves alone,
-            # and a density operator (rows on axes 0..n-1, columns n..2n-1)
+            # and the spectral vectors of a density operator, whose
+            # eigenvector axis the walk leaves alone as well
             psi = oracles.random_pure(3 * 2 ** n, rng).reshape((2,) * n + (3,))
-            rho = oracles.random_density(2 ** n, rng).reshape((2,) * (2 * n))
-            for tensor, density in ((psi, False), (rho, True)):
+            rho = qsim.DensityOperator((2,) * n,
+                                       oracles.random_density(2 ** n, rng))
+            for tensor in (psi, qsim.spectral_tensor(rho)[0]):
                 want = []
                 for digits in itertools.product(range(nb), repeat=n):
                     t = tensor
                     for i, b in enumerate(digits):
                         if rotations[b] is not None:
                             t = contract(t, rotations[b], i)
-                            if density:
-                                t = contract(t, rotations[b].conj(), i + n)
                     want.append((digits, t))
                 calls.clear()
                 monkeypatch.setattr(qsim, "_contract_axis", counting)
-                got = list(qsim.basis_string_walk(tensor, rotations, n,
-                                                  density=density))
+                got = list(qsim.basis_string_walk(tensor, rotations, n))
                 monkeypatch.setattr(qsim, "_contract_axis", contract)
                 assert [d for d, _ in got] == [d for d, _ in want]
                 for (_, g), (_, w) in zip(got, want):
                     assert np.array_equal(g, w)
                 prefixes = active * sum(nb ** (i - 1) for i in range(1, n + 1))
-                assert len(calls) == prefixes * (2 if density else 1)
+                assert len(calls) == prefixes
 
 
 def test_contract_axis_matches_einsum():
     # every axis of qubit and qutrit tensors, real and complex matrices,
-    # against an einsum reference; and every string of a density walk
+    # against an einsum reference; and every string of a walk over a
+    # density operator's spectral vectors, sum_r w_r (U v_r)(U v_r)^dagger,
     # against U rho U^dagger with U the Kronecker product of its rotations
     rng = np.random.default_rng(47)
     letters = "abcdefg"
@@ -336,15 +362,16 @@ def test_contract_axis_matches_einsum():
     rotations = (None, diag.vectors.conj().T, circ.vectors.conj().T)
     for n in (1, 2, 3):
         rho = oracles.random_density(2 ** n, rng)
-        walk = qsim.basis_string_walk(rho.reshape((2,) * (2 * n)),
-                                      rotations, n, density=True)
-        for digits, got in walk:
+        vectors, weights = qsim.spectral_tensor(
+            qsim.DensityOperator((2,) * n, rho))
+        for digits, got in qsim.basis_string_walk(vectors, rotations, n):
             u = np.ones((1, 1))
             for b in digits:
                 u = np.kron(u, np.eye(2) if rotations[b] is None
                             else rotations[b])
+            v = got.reshape(2 ** n, -1)
             want = u @ rho @ u.conj().T
-            assert np.allclose(got.reshape(2 ** n, 2 ** n), want,
+            assert np.allclose((v * weights) @ v.conj().T, want,
                                rtol=1e-13, atol=1e-14), digits
 
 
