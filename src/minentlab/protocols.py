@@ -857,14 +857,26 @@ def _povm_step(m: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _povm_bracket(ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Certified (lower, upper) on max over POVMs of sum_x tr(M_x E_x), per
-    PSD (X, D, D) stack of a (..., X, D, D) array, any D.  Primal: the
-    Jezek-Rehacek-Fiurasek fixed point E_x <- R^-1 M_x E_x M_x R^-1 from the
-    square-root measurement, on factors, so that SQUAREM extrapolation
-    (Varadhan-Roland 2008) stays a POVM; the lower end is the best value or
-    single guess.  D = 1 stacks are numbers, and both ends are their
-    maximum, exactly.  Dual: Y + s I, s the largest positive
-    eigenvalue sum of any M_x - Y, dominates every M_x: tr Y + D s, or the
-    total trace, is an upper end.  Stacks leave once POVM_GAP close."""
+    PSD (X, D, D) stack of a (..., X, D, D) array, any D.
+
+    Dual: Y + s I, s the largest positive eigenvalue sum of any M_x - Y,
+    dominates every M_x: tr Y + D s, or the total trace, is an upper end.
+    Every upper end is this certificate; nothing is inferred from the
+    shape of a stack.  Stacks leave once POVM_GAP close.
+
+    Primal, first one candidate: the projective measurement on the
+    eigenbasis {v_j} of a fixed generic combination sum_x w_x M_x
+    (w_x = 1 + sqrt(x + 2)), each v_j sent to its best x.  Its value is
+    sum_j best_j, best_j = max_x <v_j|M_x|v_j>, and its dual is
+    Y = sum_j best_j |v_j><v_j|.  For a commuting stack, as every stack of
+    a committer that stores raw qubits is, that basis diagonalizes every
+    M_x, the candidate is optimal and its dual closes the gap.  The rest
+    go on from the square-root measurement through the
+    Jezek-Rehacek-Fiurasek fixed point E_x <- R^-1 M_x E_x M_x R^-1, on
+    factors, so that SQUAREM extrapolation (Varadhan-Roland 2008) stays a
+    POVM; the lower end is the best value or single guess.  D = 1 stacks
+    are numbers, and both ends are their maximum, exactly: the candidate
+    in closed form."""
     ops = np.asarray(ops)
     batch, (outcomes, d) = ops.shape[:-3], ops.shape[-3:-1]
     m = ops.reshape((-1, outcomes, d, d))
@@ -872,18 +884,32 @@ def _povm_bracket(ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lower, upper = traces.max(axis=1), traces.sum(axis=1)
     if d == 1:                 # numbers: the best opening is the largest
         return lower.reshape(batch), lower.reshape(batch).copy()
-    vals, vecs = np.linalg.eigh(m)
-    b, y = _povm_step(m, (vecs * np.sqrt(np.maximum(vals, 0.0))[..., None, :])
-                      @ vecs.conj().swapaxes(-1, -2))
-    live, ml = np.arange(len(m)), m
-    for cycle in range(POVM_MAX_ITER + 1):
+
+    def tighten(live, ml, y):
+        """Take Y's value and certificate into the brackets of ``live``;
+        return which of them stay open."""
         value = np.einsum("nii->n", y).real
         excess = ml - y[:, None]
         positive = np.maximum(np.einsum("nxii->nx", excess).real
                               + qsim._trace_norms(excess), 0.0) / 2.0
         lower[live] = np.maximum(lower[live], value)
         upper[live] = np.minimum(upper[live], value + d * positive.max(axis=1))
-        still = upper[live] - lower[live] > POVM_GAP
+        return upper[live] - lower[live] > POVM_GAP
+
+    weights = 1.0 + np.sqrt(np.arange(outcomes) + 2.0)
+    basis = np.linalg.eigh(np.einsum("x,nxij->nij", weights, m))[1]
+    best = np.einsum("nij,nxik,nkj->nxj", basis.conj(), m, basis,
+                     optimize=True).real.max(axis=1)
+    live = np.flatnonzero(tighten(np.arange(len(m)), m, (basis * best[:, None])
+                                  @ basis.conj().swapaxes(-1, -2)))
+    if not len(live):
+        return lower.reshape(batch), upper.reshape(batch)
+    ml = m[live]
+    vals, vecs = np.linalg.eigh(ml)
+    b, y = _povm_step(ml, (vecs * np.sqrt(np.maximum(vals, 0.0))[..., None, :])
+                      @ vecs.conj().swapaxes(-1, -2))
+    for cycle in range(POVM_MAX_ITER + 1):
+        still = tighten(live, ml, y)
         if cycle == POVM_MAX_ITER or not still.any():
             break
         live, ml, b = live[still], ml[still], b[still]
@@ -1021,7 +1047,10 @@ def check_binding(committer: BoundedAdversary) -> BindingReport:
     whose mask moved is re-rotated and swaps its conditional contribution
     for the one under the final tau.  One `_povm_bracket` call then
     brackets the best opening of every record and target, with and without
-    the split bit, for any q.
+    the split bit, for any q.  A committer that stores received qubits
+    untouched has commuting opening operators: the solver's eigenbasis
+    candidate is optimal for them and its dual certificate closes their
+    brackets without an iteration.  Other committers' stacks iterate.
     """
     _guard_attack_size(committer)
     attack = _EprAttack(committer)

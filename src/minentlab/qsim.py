@@ -32,7 +32,6 @@ import numpy as np
 
 HERMITIAN_TOL = 1e-9
 PSD_TOL = 1e-10
-NORM_TOL = 1e-12
 ORTHO_TOL = 1e-10
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)

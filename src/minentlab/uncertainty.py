@@ -312,15 +312,17 @@ def verify_uncertainty_relation(state, basis_set: BasisSet,
     outcome law is their eigenvalue-weighted sum.  Also reports the exact
     conditional Shannon entropy H(X|Theta).
     """
-    vectors, state_weights = qsim.spectral_tensor(state)
     d = basis_set.dim
-    dims = state.dims
+    # gates first, so an oversized density fails before its eigh; anything
+    # without dims is no state and fails in spectral_tensor
+    dims = getattr(state, "dims", ())
     if any(dd != d for dd in dims):
         raise qsim.DimensionMismatchError(
             f"state dims {dims} incompatible with basis dimension {d}")
     n = len(dims)
     nb = len(basis_set.bases)
     check_relation_size(basis_set, n)
+    vectors, state_weights = qsim.spectral_tensor(state)
     rotations = [b.vectors.conj().T for b in basis_set.bases]
 
     theta_weight = nb ** (-n)

@@ -569,6 +569,58 @@ def test_binding_bracket_closes_for_stored_qubits():
         assert rep.weak_holds
 
 
+@pytest.fixture
+def povm_steps(monkeypatch):
+    """The stack counts of every `_povm_step` call."""
+    calls = []
+    step = protocols._povm_step
+
+    def counted(m, f):
+        calls.append(len(m))
+        return step(m, f)
+
+    monkeypatch.setattr(protocols, "_povm_step", counted)
+    return calls
+
+
+def test_binding_raw_storage_closes_without_iteration(povm_steps):
+    # a committer that keeps received qubits untouched hands the solver
+    # commuting stacks only: the eigenbasis candidate and its dual close
+    # every bracket, and the iteration never runs
+    for adv in (store_one_diag(4),
+                product_adversary("product-q2", 5, {0: "+", 2: "x", 4: "+"},
+                                  kept=(1, 3))):
+        rep = protocols.check_binding(adv)
+        assert 0.0 <= rep.cheat_upper - rep.cheat_lower <= 1e-13, adv.name
+    assert povm_steps == []
+
+
+def test_binding_haar_reports_match_the_iteration(povm_steps):
+    # dense committers give stacks that do not commute: they fall through
+    # to the square-root measurement and its iteration, and their reports
+    # keep every bit they had before the candidate was tried first
+    want = [
+        "BindingReport(name='haar-n2-1', n=2, q=1, alpha=0.8904471326901364, "
+        "tau=0.7344704910543651, prob_bound_bit=(0.7499999999999998, "
+        "0.24999999999999997), cheat_joint=(0.49227907652896874, "
+        "0.17748430321213576), cheat_upper=0.49227907652896874, "
+        "cheat_lower=0.4922790765289603, open_success=(0.8036450771570831, "
+        "0.7422790765290666), eps_raw=3.428050153785654, eps=1.0, "
+        "trivial=True, holds=True, weak_sum=1.5459241536861497, "
+        "weak_holds=True)",
+        "BindingReport(name='haar-n2-2', n=2, q=1, alpha=0.6192560097585594, "
+        "tau=0.8068497764947562, prob_bound_bit=(0.7499999999999999, "
+        "0.25000000000000006), cheat_joint=(0.5277699958738808, "
+        "0.1806746762517054), cheat_upper=0.5277699958738808, "
+        "cheat_lower=0.5277699958737941, open_success=(0.8457189507277523, "
+        "0.7777699958738911), eps_raw=3.592992683532225, eps=1.0, "
+        "trivial=True, holds=True, weak_sum=1.6234889466016433, "
+        "weak_holds=True)"]
+    for seed, rep in zip((1, 2), want):
+        assert repr(protocols.check_binding(haar_one_ancilla(2, seed))) == rep
+    assert povm_steps
+
+
 def test_binding_guards():
     with pytest.raises(ValueError):
         protocols.check_binding(all_plus(9))
@@ -647,6 +699,36 @@ def test_povm_bracket_batch_matches_single_stacks():
             lo, up = protocols._povm_bracket(ops[i, j])
             assert lower[i, j] == lo and upper[i, j] == up, (outcomes, d, i, j)
         assert lower[1, 2] == upper[1, 2] == 0.0
+
+
+def haar_unitary(rng, d):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def test_povm_bracket_commuting_stacks_skip_the_iteration(povm_steps):
+    # U diag(d_x) U^dagger for a Haar U: the candidate's basis diagonalizes
+    # every M_x, so the dual closes the bracket on the diagonal optimum
+    # before any iteration; two equal diagonal columns make the generic
+    # combination degenerate, and any basis of that eigenspace still works
+    rng = np.random.default_rng(45)
+    cases = [(d, outcomes, False) for d in (2, 4) for outcomes in (2, 5, 16)]
+    cases += [(4, 5, True), (2, 16, True)]
+    for d, outcomes, degenerate in cases:
+        diags = rng.uniform(0.0, 1.0, size=(outcomes, d))
+        if degenerate:
+            diags[:, 1] = diags[:, 0]
+        diags /= diags.sum()
+        u = haar_unitary(rng, d)
+        ops = np.einsum("ij,xj,kj->xik", u, diags, u.conj())
+        exact = oracles.diagonal_povm_value(u.conj().T @ ops @ u)
+        lower, upper = protocols._povm_bracket(ops)
+        assert exact - 1e-12 <= lower <= upper <= exact + 1e-12, (d, outcomes)
+        assert upper - lower <= protocols.POVM_GAP, (d, outcomes)
+    assert povm_steps == []
+    # a random stack does not commute and reaches the iteration
+    protocols._povm_bracket(random_psd_stack(rng, 3, 2))
+    assert povm_steps
 
 
 def test_binding_error_bound_formula():

@@ -219,6 +219,19 @@ def test_relation_input_errors():
         uncertainty.verify_uncertainty_relation(big, sb, 0.05)
 
 
+def test_relation_gates_before_the_spectral_form(monkeypatch):
+    # an oversized density is refused before its eigendecomposition: nine
+    # qubits under the six-state family are 6^9 atoms, over the gate
+    def no_eigh(state):
+        raise AssertionError("spectral_tensor ran before the size gate")
+
+    big = qsim.DensityOperator((2,) * 9, np.eye(2 ** 9) / 2 ** 9)
+    monkeypatch.setattr(qsim, "spectral_tensor", no_eigh)
+    with pytest.raises(ValueError, match="joint too large"):
+        uncertainty.verify_uncertainty_relation(
+            big, uncertainty.six_state_basis_set(), 0.05)
+
+
 def test_relation_haar_family_numeric_h():
     # a two-basis family built from Haar draws, with a numerically certified h
     rng = np.random.default_rng(31)
