@@ -488,7 +488,9 @@ def basis_string_walk(tensor: np.ndarray,
     makes k * (|B|^n - 1) / (|B| - 1) contractions: about k / (|B| - 1)
     per string instead of up to n.  One tensor per prefix length is live,
     n + 1 at most.  The yielded arrays may be views of one another: read,
-    do not write.
+    do not write.  The attack tableaux read it a string at a time;
+    `basis_string_blocks` runs it over a prefix and rotates the trailing
+    positions a block of strings at a time.
     """
     last = len(rotations) - 1
     digits = [0] * n
@@ -508,6 +510,53 @@ def basis_string_walk(tensor: np.ndarray,
         if start < 0:
             return
         digits[start] += 1
+
+
+# Most complex entries in one block of `basis_string_blocks`.
+WALK_BLOCK = 2 ** 14
+
+
+def basis_string_blocks(tensor: np.ndarray,
+                        rotations: Sequence[np.ndarray | None], n: int
+                        ) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+    """Rotate the first n axes of ``tensor`` to every basis string, a block
+    of strings at a time.
+
+    Yields (prefix, block) for every string of n - j digits in
+    lexicographic order, where j is the largest value (at most n) with
+    |B|^j * tensor.size <= WALK_BLOCK.  ``block[s]`` is the rotated tensor
+    of prefix + the s-th string of j digits, in lexicographic order, as
+    `basis_string_walk` yields it.  The walk runs over the first n - j
+    positions; each trailing position then rotates the whole block
+    breadth-first, one stacked matmul per rotation written into one new
+    array per position.  Each string is laid out as `_contract_axis`'s
+    tensordot lays it out and goes to the same BLAS call, so every string
+    gets the same contractions in the same order and keeps every bit.  No
+    block exceeds WALK_BLOCK entries unless one string alone does; then
+    j = 0 and the block is a view of the walk's tensor.  Read, do not
+    write.
+    """
+    nb = len(rotations)
+    j = 0
+    while j < n and nb ** (j + 1) * tensor.size <= WALK_BLOCK:
+        j += 1
+    dtype = np.result_type(tensor, *(u for u in rotations if u is not None))
+    shape = tensor.shape
+    for prefix, t in basis_string_walk(tensor, rotations, n - j):
+        block = t[None]
+        for i in range(n - j, n):
+            # per string: axis i first, the other axes flattened in order
+            items = np.moveaxis(block, i + 1, 1).reshape(
+                len(block), shape[i], -1)
+            level = np.empty((len(block), nb) + items.shape[1:], dtype=dtype)
+            for b, u in enumerate(rotations):
+                if u is None:
+                    level[:, b] = items
+                else:
+                    np.matmul(u, items, out=level[:, b])
+            block = np.moveaxis(level.reshape(
+                (-1, shape[i]) + shape[:i] + shape[i + 1:]), 1, i + 1)
+        yield prefix, block
 
 
 def measure(state, bases: Mapping[int, Basis], return_branches: bool = False):

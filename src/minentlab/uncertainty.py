@@ -289,8 +289,10 @@ class RelationReport:
 
 def check_relation_size(basis_set: BasisSet, n: int) -> None:
     """Raise ValueError when the exact joint of n systems, |B|^n * d^n
-    atoms, exceeds MAX_RELATION_ATOMS.  Both factors are at least 1, so
-    capping n at the gate's bit length keeps the verdict."""
+    atoms, exceeds MAX_RELATION_ATOMS, or when n < 1.  Both factors are
+    at least 1, so capping n at the gate's bit length keeps the verdict."""
+    if n < 1:
+        raise ValueError("n must be positive")
     n = min(n, MAX_RELATION_ATOMS.bit_length())
     if (len(basis_set.bases) * basis_set.dim) ** n > MAX_RELATION_ATOMS:
         raise ValueError("joint too large for exact enumeration "
@@ -304,13 +306,13 @@ def verify_uncertainty_relation(state, basis_set: BasisSet,
     ``state`` is a StateVector or DensityOperator on n systems of the family
     dimension.  The joint of (outcome string, basis string) is computed
     exactly: |B|^n * d^n atoms, so keep n small (n <= 8 for qubit families).
-    One `qsim.basis_string_walk` rotates the state's `qsim.spectral_tensor`
-    to every basis string, sharing each prefix: about |B| / (|B| - 1)
-    single-system contractions per basis string (2 for BB84, 1.5 for
-    six-state) instead of n, with at most n + 1 rotated tensors live.  A
-    density operator walks its eigenvectors together, and each string's
-    outcome law is their eigenvalue-weighted sum.  Also reports the exact
-    conditional Shannon entropy H(X|Theta).
+    `qsim.basis_string_blocks` rotates the state's `qsim.spectral_tensor`
+    to every basis string, a block of up to `qsim.WALK_BLOCK` entries at a
+    time, with the same contractions and bits as rotating each string on
+    its own.  A density operator rotates its eigenvectors together, and
+    each string's outcome law is their eigenvalue-weighted sum: one matmul
+    per block, one clip per block, then one entropy per string, in string
+    order.  Also reports the exact conditional Shannon entropy H(X|Theta).
     """
     d = basis_set.dim
     # gates first, so an oversized density fails before its eigh; anything
@@ -321,18 +323,23 @@ def verify_uncertainty_relation(state, basis_set: BasisSet,
             f"state dims {dims} incompatible with basis dimension {d}")
     n = len(dims)
     nb = len(basis_set.bases)
-    check_relation_size(basis_set, n)
+    if dims:
+        check_relation_size(basis_set, n)
     vectors, state_weights = qsim.spectral_tensor(state)
     rotations = [b.vectors.conj().T for b in basis_set.bases]
 
     theta_weight = nb ** (-n)
     weights = np.empty((nb ** n, d ** n))
     shannon_sum = 0.0
-    walk = qsim.basis_string_walk(vectors, rotations, n)
-    for t_idx, (_, t) in enumerate(walk):
-        probs = (np.abs(t) ** 2).reshape(d ** n, -1) @ state_weights
-        shannon_sum += _entropy_bits(np.clip(probs, 0.0, None))
-        weights[t_idx] = probs * theta_weight
+    row = 0
+    for _, blk in qsim.basis_string_blocks(vectors, rotations, n):
+        probs = ((np.abs(blk) ** 2).reshape(len(blk), d ** n, -1)
+                 @ state_weights)
+        for p in np.clip(probs, 0.0, None):
+            shannon_sum += _entropy_bits(p)
+        weights[row:row + len(blk)] = probs * theta_weight
+        row += len(blk)
+    del blk, probs      # free the last block before the smoothing
     mass = float(weights.sum())
     trace = float(state_weights.sum())
     if abs(mass - trace) > 1e-8:

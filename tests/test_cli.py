@@ -532,10 +532,13 @@ def test_domain_errors_exit_2(capsysbinary):
                  ["commit", "check-binding", "--adversary", "all-plus",
                   "--n", "0"],
                  ["commit", "check-binding", "--adversary", "all-plus",
-                  "--n", "-1"]):
+                  "--n", "-1"],
+                 ["verify", "relation", "--n", "0"],
+                 ["verify", "relation", "--n", "-1"]):
         code, out, err = run_main(capsysbinary, argv)
         assert code == 2, argv
         assert out == b"" and err.startswith(b"error:"), argv
+        assert b"Traceback" not in err, argv
 
 
 def test_open_numeric_bracket_exits_2(capsysbinary, monkeypatch):

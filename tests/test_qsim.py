@@ -334,6 +334,23 @@ def test_basis_string_walk_order_values_and_contraction_count(monkeypatch):
                     assert np.array_equal(g, w)
                 prefixes = active * sum(nb ** (i - 1) for i in range(1, n + 1))
                 assert len(calls) == prefixes
+                # the block walk: one string per block, a few strings per
+                # block and one block for all; rows in the same order and
+                # with the same bits, no block past WALK_BLOCK entries
+                # unless it holds one string
+                for size in (1, 3 * tensor.size, nb ** n * tensor.size):
+                    monkeypatch.setattr(qsim, "WALK_BLOCK", size)
+                    rows = []
+                    for prefix, block in qsim.basis_string_blocks(
+                            tensor, rotations, n):
+                        assert block.shape[1:] == tensor.shape
+                        assert block.size <= size or len(block) == 1
+                        rows += [(prefix, r) for r in block]
+                    assert len(rows) == len(want)
+                    for (prefix, r), (digits, w) in zip(rows, want):
+                        assert digits[:len(prefix)] == prefix
+                        assert np.array_equal(r, w)
+                monkeypatch.undo()
 
 
 def test_contract_axis_matches_einsum():

@@ -219,6 +219,60 @@ def test_relation_input_errors():
         uncertainty.verify_uncertainty_relation(big, sb, 0.05)
 
 
+def test_relation_size_gate_refuses_nonpositive_n():
+    for sb in (uncertainty.bb84_basis_set(),
+               uncertainty.six_state_basis_set()):
+        for n in (0, -3):
+            with pytest.raises(ValueError, match="n must be positive"):
+                uncertainty.check_relation_size(sb, n)
+        uncertainty.check_relation_size(sb, 1)
+
+
+def test_relation_report_does_not_depend_on_block_size(monkeypatch):
+    # against the default: one string per block, and blocks of a few
+    # strings sized to the pure and to the mixed states, on both qubit
+    # families
+    rng = np.random.default_rng(53)
+    for sb in (uncertainty.bb84_basis_set(),
+               uncertainty.six_state_basis_set()):
+        for n in range(1, 7):
+            psi = oracles.random_pure(2 ** n, rng)
+            rho = oracles.random_density(2 ** n, rng)
+            states = (qsim.StateVector((2,) * n, psi),
+                      qsim.DensityOperator((2,) * n, rho))
+            for state in states:
+                want = uncertainty.verify_uncertainty_relation(state, sb, 0.05)
+                for size in (1, 4 * 2 ** n, 4 * 4 ** n):
+                    monkeypatch.setattr(qsim, "WALK_BLOCK", size)
+                    got = uncertainty.verify_uncertainty_relation(state, sb,
+                                                                  0.05)
+                    monkeypatch.undo()
+                    assert got == want, (len(sb.bases), n, size)
+
+
+def test_relation_reports_pinned_across_blocks():
+    # BB84 n=9 spans 2^9 / 2^6 blocks, the n=6 density 2^6 / 2^2 blocks;
+    # every field keeps its repr from the one-string-at-a-time walk
+    sb = uncertainty.bb84_basis_set()
+    rng = np.random.default_rng(7)
+    amps = rng.normal(size=2 ** 9) + 1j * rng.normal(size=2 ** 9)
+    rep = uncertainty.verify_uncertainty_relation(
+        qsim.StateVector((2,) * 9, amps / np.linalg.norm(amps)), sb, 0.05)
+    assert repr(rep) == (
+        "RelationReport(n=9, lam=0.05, eps=0.9999824074167115, bound=3.6, "
+        "smooth_min_entropy=24.794648672598324, "
+        "shannon_conditional=8.398844291074171, holds=True)")
+    rng = np.random.default_rng(7)
+    z = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+    rho = z @ z.conj().T
+    rep = uncertainty.verify_uncertainty_relation(
+        qsim.DensityOperator((2,) * 6, rho / np.trace(rho).real), sb, 0.05)
+    assert repr(rep) == (
+        "RelationReport(n=6, lam=0.05, eps=0.999988271576752, "
+        "bound=2.4000000000000004, smooth_min_entropy=22.379631402078388, "
+        "shannon_conditional=5.989466068288825, holds=True)")
+
+
 def test_relation_gates_before_the_spectral_form(monkeypatch):
     # an oversized density is refused before its eigendecomposition: nine
     # qubits under the six-state family are 6^9 atoms, over the gate
