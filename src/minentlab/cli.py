@@ -11,8 +11,10 @@ One executable, six subcommands:
 
 Reports are deterministic: the same configuration produces byte-identical
 output (floats are rounded to 12 significant digits before serialization,
-and wall-clock goes to stderr only).  Exit status is 0 when every check
-holds, 1 when some check fails, 2 on usage or configuration errors.
+and wall-clock goes to stderr only).  A report's config is its parsed
+arguments, camelCased, without the output flags.  Exit status is 0 when
+every check holds, 1 when some check fails, 2 on usage or configuration
+errors, a malformed adversary file or a size past a library gate.
 
 Relative ``--out`` paths are resolved against the MINENTLAB_OUTDIR
 environment variable when it is set.
@@ -36,7 +38,10 @@ from . import __version__
 from . import concentration, distrib, hashing, protocols, qkd, qsim, uncertainty
 
 OUTDIR_ENV = "MINENTLAB_OUTDIR"
-BUILTIN_ADVERSARIES = ("all-plus", "breidbart", "store-one-diag")
+# built-in adversaries: the basis of every measured wire, and the kept wires
+_BUILTINS = {"all-plus": ("+", ()), "breidbart": ("breidbart", ()),
+             "store-one-diag": ("x", (0,))}
+BUILTIN_ADVERSARIES = tuple(_BUILTINS)
 SWEEP_TASKS = ("rate", "epsilon", "overall")
 
 
@@ -146,11 +151,22 @@ def _emit(args, config: dict, checks: list[dict], raw_bytes=None) -> int:
     return 1 if failed else 0
 
 
-def _gate(what: str, n: int, limit: int) -> None:
-    """Refuse an n above a library size gate before building anything of
-    size 2^n."""
-    if n > limit:
-        raise ValueError(f"{what} n <= {limit}, got n = {n}")
+# the dests _add_common registers: how a report is written, not what it holds
+_OUTPUT_FLAGS = ("out", "format", "json", "verbose")
+
+
+def _config(args) -> dict:
+    """A report's config: the subcommand, then every parsed argument under
+    its camelCase name (eps_prime -> epsPrime) but the dispatch keys, the
+    output flags and sweep's file path."""
+    kind = getattr(args, "kind", None)  # sweep has none
+    config = {"subcommand": f"{args.command} {kind}" if kind
+              else args.command}
+    for key, value in vars(args).items():
+        if key not in ("command", "kind", "config") + _OUTPUT_FLAGS:
+            head, *rest = key.split("_")
+            config[head + "".join(w.capitalize() for w in rest)] = value
+    return config
 
 
 # ---------------------------------------------------------------- bases
@@ -192,21 +208,13 @@ def _basis_set(spec: str, seed: int) -> uncertainty.BasisSet:
 
 
 def _builtin_adversary(name: str, n: int) -> protocols.BoundedAdversary:
-    if name == "all-plus":
-        return protocols.product_adversary(name, n,
-                                           {i: "+" for i in range(n)})
-    if name == "breidbart":
-        return protocols.product_adversary(name, n,
-                                           {i: "breidbart" for i in range(n)})
-    if name == "store-one-diag":
-        return protocols.product_adversary(name, n,
-                                           {i: "x" for i in range(1, n)},
-                                           kept=(0,))
-    raise ValueError(f"unknown adversary {name!r}")
+    label, kept = _BUILTINS[name]
+    return protocols.product_adversary(
+        name, n, {i: label for i in range(n) if i not in kept}, kept)
 
 
 def _load_adversary(spec: str, n: int) -> protocols.BoundedAdversary:
-    _gate("exact checkers handle", n, protocols.MAX_ATTACK_QUBITS)
+    protocols.check_attack_size(n)
     if spec in BUILTIN_ADVERSARIES:
         return _builtin_adversary(spec, n)
     with open(spec) as fh:
@@ -218,8 +226,7 @@ def _load_adversary(spec: str, n: int) -> protocols.BoundedAdversary:
 
 def _script_battery(n: int, l: int) -> list[protocols.ScriptedSender]:
     """Three fixed dishonest-sender scripts used by ``ot check-receiver``."""
-    _gate("exact receiver-security check handles", n,
-          protocols.MAX_RECEIVER_QUBITS)
+    protocols.check_receiver_size(n)
     if not 1 <= l <= n:
         raise ValueError(f"need 1 <= l <= n = {n}, got l = {l}")
     dim = 2 ** n
@@ -248,11 +255,9 @@ def _script_battery(n: int, l: int) -> list[protocols.ScriptedSender]:
 
 # ---------------------------------------------------------------- bound
 
-def cmd_bound(args) -> tuple[dict, list[dict]]:
-    config = {"subcommand": f"bound {args.kind}"}
+def cmd_bound(args, config: dict) -> list[dict]:
     checks = []
     if args.kind == "mu":
-        config.update({"basis1": args.basis1, "basis2": args.basis2})
         value = uncertainty.maassen_uffink_bound(_qubit_basis(args.basis1),
                                                  _qubit_basis(args.basis2))
         checks.append(_check("muBound", value=value))
@@ -260,27 +265,22 @@ def cmd_bound(args) -> tuple[dict, list[dict]]:
         checks.append(_check("sixStateBound",
                              value=uncertainty.six_state_bound()))
     elif args.kind == "overall":
-        config["d"] = args.d
         checks.append(_check("overallBound",
                              value=uncertainty.overall_bound(args.d)))
     else:  # numeric
-        config.update({"bases": args.bases, "seed": args.seed})
         bases = _parse_bases_spec(args.bases, args.seed)
         res = uncertainty.numeric_average_bound(bases)
         checks.append(_check("numericBound", value=res.value,
                              holds=res.converged, lower=res.lower,
                              squares=res.squares))
-    return config, checks
+    return checks
 
 
 # ---------------------------------------------------------------- verify
 
-def cmd_verify(args) -> tuple[dict, list[dict]]:
-    config = {"subcommand": f"verify {args.kind}"}
+def cmd_verify(args, config: dict) -> list[dict]:
     checks = []
     if args.kind == "azuma":
-        config.update({"lam": args.lam, "n": args.n, "trials": args.trials,
-                       "seed": args.seed})
         bound = concentration.azuma_tail_bound(args.lam, 1.0, args.n)
         rng = np.random.default_rng(args.seed)
         freq = concentration.azuma_empirical_tail(args.lam, args.n,
@@ -289,7 +289,6 @@ def cmd_verify(args) -> tuple[dict, list[dict]]:
                              holds=freq <= bound))
     elif args.kind == "sequence-bound":
         probs = [float(t) for t in args.p.split(",")]
-        config.update({"p": args.p, "n": args.n, "lam": args.lam})
         model = concentration.iid_model(probs)
         rep = concentration.verify_dependent_sequence_bound(model, args.n,
                                                             args.lam)
@@ -297,13 +296,10 @@ def cmd_verify(args) -> tuple[dict, list[dict]]:
                              bound=rep.bound, holds=rep.holds,
                              eps=rep.eps, entropyFloor=rep.entropy_floor))
     elif args.kind == "delta-bound":
-        config["x"] = args.x
         rep = concentration.verify_delta_lower_bound(args.x)
         checks.append(_check("deltaBound", value=rep.x, bound=rep.lower,
                              holds=rep.holds, y=rep.y))
     elif args.kind == "chain-rule":
-        config.update({"nx": args.nx, "ny": args.ny, "eps": args.eps,
-                       "epsPrime": args.eps_prime, "seed": args.seed})
         if args.nx * args.ny > distrib.MAX_JOINT_ATOMS:
             raise ValueError("joint too large "
                              f"(nx * ny <= {distrib.MAX_JOINT_ATOMS})")
@@ -317,7 +313,6 @@ def cmd_verify(args) -> tuple[dict, list[dict]]:
         checks.append(_check("chainRule", value=rep.lhs, bound=rep.rhs,
                              holds=rep.holds, nearEquality=rep.near_equality))
     elif args.kind == "splitting":
-        config.update({"size": args.size, "seed": args.seed})
         if args.size ** 2 > distrib.MAX_JOINT_ATOMS:
             raise ValueError("joint too large "
                              f"(size^2 <= {distrib.MAX_JOINT_ATOMS})")
@@ -334,8 +329,6 @@ def cmd_verify(args) -> tuple[dict, list[dict]]:
                              alpha=rep.alpha,
                              splitMinEntropy=rep.split_min_entropy))
     elif args.kind == "pa":
-        config.update({"n": args.n, "l": args.l, "q": args.q,
-                       "eps": args.eps, "seed": args.seed})
         hashing.check_pa_size(args.n, args.l, args.q, 1)
         cq = _random_ccq(args.n, args.q, args.seed)
         rep = hashing.verify_pa(cq, args.l, args.eps)
@@ -343,8 +336,6 @@ def cmd_verify(args) -> tuple[dict, list[dict]]:
                              bound=rep.bound, holds=rep.holds,
                              hSmooth=rep.h_smooth))
     else:  # relation
-        config.update({"n": args.n, "bases": args.bases, "lam": args.lam,
-                       "state": args.state, "seed": args.seed})
         bs = _basis_set(args.bases, args.seed)
         uncertainty.check_relation_size(bs, args.n)
         state = _relation_state(args.state, args.n, args.seed)
@@ -353,7 +344,7 @@ def cmd_verify(args) -> tuple[dict, list[dict]]:
                              bound=rep.bound, holds=rep.holds,
                              eps=rep.eps,
                              shannonConditional=rep.shannon_conditional))
-    return config, checks
+    return checks
 
 
 def _random_ccq(n: int, q: int, seed: int) -> qsim.CqState:
@@ -388,12 +379,9 @@ def _relation_state(kind: str, n: int, seed: int):
 
 # ---------------------------------------------------------------- ot
 
-def cmd_ot(args) -> tuple[dict, list[dict]]:
-    config = {"subcommand": f"ot {args.kind}"}
+def cmd_ot(args, config: dict) -> list[dict]:
     checks = []
     if args.kind == "run":
-        config.update({"n": args.n, "l": args.l, "c": args.c,
-                       "seed": args.seed, "epr": args.epr})
         runner = protocols.run_epr_ot if args.epr else protocols.run_ot
         t = runner(args.n, args.l, args.c, seed=args.seed)
         chosen = t.s0 if t.c == 0 else t.s1
@@ -401,7 +389,6 @@ def cmd_ot(args) -> tuple[dict, list[dict]]:
         checks.append(_check("correctness", value=1.0 if match else 0.0,
                              holds=match, transcript=t.to_json()))
     elif args.kind == "check-receiver":
-        config.update({"n": args.n, "l": args.l})
         for sender in _script_battery(args.n, args.l):
             rep = protocols.check_receiver_security(sender, args.l)
             checks.append(_check(f"receiverSecurity[{rep.label}]",
@@ -409,7 +396,6 @@ def cmd_ot(args) -> tuple[dict, list[dict]]:
                                  holds=rep.holds,
                                  independence=rep.independence))
     else:  # check-sender
-        config.update({"n": args.n, "l": args.l, "adversary": args.adversary})
         adv = _load_adversary(args.adversary, args.n)
         rep = protocols.check_sender_security(adv, args.l)
         checks.append(_check(f"senderSecurity[{rep.name}]",
@@ -418,21 +404,18 @@ def cmd_ot(args) -> tuple[dict, list[dict]]:
                              q=rep.q, boundRaw=rep.bound_raw,
                              trivial=rep.trivial, chain=rep.chain,
                              probCprime1=rep.prob_cprime1))
-    return config, checks
+    return checks
 
 
 # ---------------------------------------------------------------- commit
 
-def cmd_commit(args) -> tuple[dict, list[dict]]:
-    config = {"subcommand": f"commit {args.kind}"}
+def cmd_commit(args, config: dict) -> list[dict]:
     checks = []
     if args.kind == "run":
-        config.update({"n": args.n, "b": args.b, "seed": args.seed})
         t = protocols.run_commit(args.n, args.b, seed=args.seed)
         checks.append(_check("honestOpen", value=1.0 if t.accept else 0.0,
                              holds=t.accept, transcript=t.to_json()))
     else:  # check-binding
-        config.update({"n": args.n, "adversary": args.adversary})
         adv = _load_adversary(args.adversary, args.n)
         rep = protocols.check_binding(adv)
         checks.append(_check(f"binding[{rep.name}]", value=rep.cheat_upper,
@@ -445,18 +428,14 @@ def cmd_commit(args) -> tuple[dict, list[dict]]:
                              epsRaw=rep.eps_raw, trivial=rep.trivial))
         checks.append(_check(f"weakBinding[{rep.name}]", value=rep.weak_sum,
                              bound=1.0 + rep.eps, holds=rep.weak_holds))
-    return config, checks
+    return checks
 
 
 # ---------------------------------------------------------------- qkd
 
-def cmd_qkd(args) -> tuple[dict, list[dict]]:
-    config = {"subcommand": f"qkd {args.kind}"}
+def cmd_qkd(args, config: dict) -> list[dict]:
     checks = []
     if args.kind == "run":
-        config.update({"bases": args.bases, "p": args.p, "N": args.N,
-                       "mode": args.mode, "seed": args.seed, "q": args.q,
-                       "eps": args.eps, "maxSift": args.max_sift})
         bs = _basis_set(args.bases, args.seed)
         run = qkd.run_qkd(bs, args.N, qkd.ChannelModel(args.p),
                           mode=args.mode, seed=args.seed, eps=args.eps,
@@ -468,17 +447,14 @@ def cmd_qkd(args) -> tuple[dict, list[dict]]:
         checks.append(_check("keyLength", value=float(run.l)))
         checks.append(_check("qber", value=run.qber))
     elif args.kind == "rate":
-        h = _resolve_h(args)
-        config.update({"h": h, "p": args.p, "bases": args.bases,
-                       "seed": args.seed})
+        h = config["h"] = _resolve_h(args)
         rep = qkd.rate_report(h, args.p)
         checks.append(_check("rate", value=rep.rate, errorEntropy=rep.e))
         checks.append(_check("threshold", value=rep.threshold))
     else:  # threshold
-        h = _resolve_h(args)
-        config.update({"h": h, "bases": args.bases, "seed": args.seed})
+        h = config["h"] = _resolve_h(args)
         checks.append(_check("threshold", value=qkd.noise_threshold(h)))
-    return config, checks
+    return checks
 
 
 def _resolve_h(args) -> float:
@@ -578,7 +554,7 @@ def _sweep_cell(task: str, entries: dict, row: dict) -> dict:
     return out
 
 
-def cmd_sweep(args) -> tuple[dict, list[dict], bytes]:
+def cmd_sweep(args, config: dict) -> tuple[list[dict], bytes]:
     entries = _parse_sweep_config(args.config)
     task, master, columns, rows = _sweep_plan(entries)
 
@@ -591,14 +567,13 @@ def cmd_sweep(args) -> tuple[dict, list[dict], bytes]:
         writer.writerow([_fmt(res.get(col, "")) for col in columns])
     payload = buf.getvalue().encode()
 
-    config = {"subcommand": "sweep", "task": task, "seed": master,
-              "cells": len(results)}
+    config.update({"task": task, "seed": master, "cells": len(results)})
     failures = [r for r in results if r["error"]]
     checks = [_check("sweep", value=float(len(results)),
                      holds=not failures,
                      failures=[r["error"] for r in failures],
                      rows=results)]
-    return config, checks, payload
+    return checks, payload
 
 
 # ---------------------------------------------------------------- parser
@@ -737,6 +712,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# handlers take the parsed arguments and the config, which qkd and sweep extend
 _COMMANDS = {"bound": cmd_bound, "verify": cmd_verify, "ot": cmd_ot,
              "commit": cmd_commit, "qkd": cmd_qkd, "sweep": cmd_sweep}
 
@@ -745,9 +721,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     start = time.monotonic()
     try:
-        # sweep hands back a third item, its raw CSV payload
-        code = _emit(args, *_COMMANDS[args.command](args))
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        config = _config(args)
+        result = _COMMANDS[args.command](args, config)
+        # sweep hands back its raw CSV payload beside its checks
+        checks, raw = result if args.command == "sweep" else (result, None)
+        code = _emit(args, config, checks, raw)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"wall-clock {time.monotonic() - start:.3f} s", file=sys.stderr)

@@ -58,8 +58,8 @@ from .hashing import ToeplitzHash, apply_hash, sample_hash
 from .qsim import hadamard  # the benchmark's tracer wraps it by this name
 
 SLACK = 1e-9
-# Size gates of the exact checkers, read by the command line before it
-# builds an adversary or a script.
+# Size gates of the exact checkers (check_attack_size, check_receiver_size),
+# which the command line runs before it builds an adversary or a script.
 MAX_ATTACK_QUBITS = 8
 MAX_RECEIVER_QUBITS = 6
 # Longest honest run, in qubits and in hashed output bits (the scale of
@@ -199,6 +199,18 @@ def _ot_transcript(n: int, l: int, c: int, x: tuple[int, ...],
                         epr=epr)
 
 
+def _run_args(n, l, c) -> tuple[int, int, int]:
+    """The honest OT runs' argument checks and their l > n/2 warning."""
+    n, l, c = int(n), int(l), int(c)
+    if not (1 <= n <= MAX_RUN_QUBITS and 1 <= l <= MAX_RUN_QUBITS
+            and c in (0, 1)):
+        raise ValueError(f"need 1 <= n, l <= {MAX_RUN_QUBITS}, c in {{0, 1}}")
+    if l > n // 2:
+        warnings.warn(f"l = {l} exceeds n/2 = {n // 2}; subsets are typically "
+                      "too short for this output length", stacklevel=3)
+    return n, l, c
+
+
 def run_ot(n: int, l: int, c: int, seed: int) -> OtTranscript:
     """One honest noiseless randomized-OT run, simulated qubit by qubit.
 
@@ -206,13 +218,7 @@ def run_ot(n: int, l: int, c: int, seed: int) -> OtTranscript:
     to a substring measured in the wrong basis.  Warns when l > n/2 because
     the typical subset is then too short to extract l bits.
     """
-    n, l, c = int(n), int(l), int(c)
-    if not (1 <= n <= MAX_RUN_QUBITS and 1 <= l <= MAX_RUN_QUBITS
-            and c in (0, 1)):
-        raise ValueError(f"need 1 <= n, l <= {MAX_RUN_QUBITS}, c in {{0, 1}}")
-    if l > n // 2:
-        warnings.warn(f"l = {l} exceeds n/2 = {n // 2}; subsets are typically "
-                      "too short for this output length", stacklevel=2)
+    n, l, c = _run_args(n, l, c)
     rng = np.random.default_rng(seed)
     x = tuple(int(v) for v in rng.integers(0, 2, size=n))
     theta = tuple(int(v) for v in rng.integers(0, 2, size=n))
@@ -231,12 +237,9 @@ def run_epr_ot(n: int, l: int, c: int, seed: int) -> OtTranscript:
     the one table of every honest run: P(x = 1) = outcome_table[c, x',
     theta].  Pair i takes two uniforms, x'_i = u0 < 1/2 and then
     x_i = u1 < that entry.  Same joint distribution of (x, x', theta) as
-    run_ot.
+    run_ot, and the same argument checks and l > n/2 warning.
     """
-    n, l, c = int(n), int(l), int(c)
-    if not (1 <= n <= MAX_RUN_QUBITS and 1 <= l <= MAX_RUN_QUBITS
-            and c in (0, 1)):
-        raise ValueError(f"need 1 <= n, l <= {MAX_RUN_QUBITS}, c in {{0, 1}}")
+    n, l, c = _run_args(n, l, c)
     rng = np.random.default_rng(seed)
     theta = rng.integers(0, 2, size=n)
     table = qsim.outcome_table(qsim.standard_bases_qubit()[:2])
@@ -323,6 +326,13 @@ def _rotated_side_ops(vectors: np.ndarray, weights: np.ndarray, n: int,
     return np.einsum("xir,r,xjr->xij", amp, weights, amp.conj())
 
 
+def check_receiver_size(n: int) -> None:
+    """Refuse a receiver check past MAX_RECEIVER_QUBITS, before any 2^n."""
+    if n > MAX_RECEIVER_QUBITS:
+        raise ValueError("exact receiver-security check handles "
+                         f"n <= {MAX_RECEIVER_QUBITS}, got n = {n}")
+
+
 def check_receiver_security(sender: ScriptedSender, l: int,
                             prior_c: Sequence[float] = (0.5, 0.5)
                             ) -> ReceiverSecurityReport:
@@ -339,9 +349,7 @@ def check_receiver_security(sender: ScriptedSender, l: int,
     different value raises ValueError.
     """
     n = sender.n
-    if n > MAX_RECEIVER_QUBITS:
-        raise ValueError("exact receiver-security check handles "
-                         f"n <= {MAX_RECEIVER_QUBITS}")
+    check_receiver_size(n)
     side_dim = int(np.prod(sender.side_dims)) if sender.side_dims else 1
     prior = np.asarray(prior_c, dtype=float)
     if prior.shape != (2,) or abs(prior.sum() - 1.0) > 1e-9 or prior.min() < 0:
@@ -461,19 +469,29 @@ class BoundedAdversary:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "BoundedAdversary":
-        u = None
-        if "unitary" in data and data["unitary"] is not None:
-            spec = data["unitary"]
-            u = np.array(spec["re"], dtype=float) + 1j * np.array(spec["im"], dtype=float)
+        """to_json's form or {"n", "measure": {wire: basis}, "kept"}; a
+        malformed file, or one past check_attack_size, raises ValueError."""
+        if not isinstance(data, Mapping) or "n" not in data:
+            raise ValueError("an adversary is a JSON object with an n")
+        name, n = data.get("name", "adversary"), int(data["n"])
+        check_attack_size(n)
+        kept, spec = data.get("kept", []), data.get("unitary")
+        if not isinstance(kept, list):
+            raise ValueError("kept must be a list of wires")
         if "measure" in data:
-            if u is not None:
-                raise ValueError("give either a full unitary or per-wire bases")
+            measure = data["measure"]
+            if (spec is not None or "ancillas" in data
+                    or not isinstance(measure, Mapping)):
+                raise ValueError("measure maps wires to bases; it takes no "
+                                 "unitary or ancillas")
             return product_adversary(
-                data.get("name", "adversary"), int(data["n"]),
-                {int(k): v for k, v in data["measure"].items()},
-                data.get("kept", ()))
-        return cls(name=data.get("name", "adversary"), n=int(data["n"]),
-                   kept=tuple(int(w) for w in data.get("kept", ())),
+                name, n, {int(k): v for k, v in measure.items()}, kept)
+        u = None
+        if spec is not None:
+            if not isinstance(spec, Mapping) or not {"re", "im"} <= set(spec):
+                raise ValueError("a unitary needs both re and im parts")
+            u = np.array(spec["re"], dtype=float) + 1j * np.array(spec["im"], dtype=float)
+        return cls(name=name, n=n, kept=tuple(int(w) for w in kept),
                    ancillas=int(data.get("ancillas", 0)), unitary=u)
 
 
@@ -499,10 +517,15 @@ def product_adversary(name: str, n: int, measure: Mapping[int, object],
     return BoundedAdversary(name=name, n=n, kept=kept, ancillas=0, unitary=u)
 
 
+def check_attack_size(n: int) -> None:
+    """Refuse an attack outside 1 <= n <= MAX_ATTACK_QUBITS, before any 2^n."""
+    if not 1 <= n <= MAX_ATTACK_QUBITS:
+        raise ValueError("exact checkers handle 1 <= n <= "
+                         f"{MAX_ATTACK_QUBITS}, got n = {n}")
+
+
 def _guard_attack_size(adversary: BoundedAdversary) -> None:
-    if adversary.n > MAX_ATTACK_QUBITS:
-        raise ValueError("exact checkers handle at most "
-                         f"n = {MAX_ATTACK_QUBITS} qubits")
+    check_attack_size(adversary.n)
     if adversary.q > 2:
         raise ValueError("memory bound capped at q = 2")
     if adversary.ancillas > 2:

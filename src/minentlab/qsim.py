@@ -90,10 +90,6 @@ class StateVector:
         a = self.amplitudes
         return DensityOperator(self.dims, np.outer(a, a.conj()))
 
-    def tensor(self, other: "StateVector") -> "StateVector":
-        return StateVector(self.dims + other.dims,
-                           np.kron(self.amplitudes, other.amplitudes))
-
     def to_json(self) -> dict:
         return {
             "dims": list(self.dims),

@@ -10,12 +10,14 @@ plus the installed ``minentlab`` executable when one is on PATH, to make sure
 the entry point wiring matches in-process ``main``.
 """
 
+import argparse
 import csv
 import hashlib
 import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -341,6 +343,21 @@ def test_commit_run_and_binding(capsysbinary):
     assert weak["bound"] == canon(1.0 + rep.eps)
 
 
+def test_binding_file_at_desk_scale(tmp_path, capsysbinary):
+    # a per-wire file at n = 7 whose binding link is not capped at 1
+    path = tmp_path / "circular.json"
+    path.write_text(json.dumps({"name": "circular", "n": 7,
+                                "measure": {str(i): "o" for i in range(7)}}))
+    code, out, _ = run_main(capsysbinary, ["commit", "check-binding",
+                                           "--adversary", str(path),
+                                           "--n", "7", "--json"])
+    assert code == 0
+    ch = check_named(parse_report(out), "binding[circular]")
+    assert ch["detail"]["trivial"] is False
+    assert ch["value"] == canon(0.023132324218749993)
+    assert ch["bound"] == canon(0.8408964152537143)
+
+
 def test_adversary_json_file(tmp_path, capsysbinary):
     adv = cli._builtin_adversary("store-one-diag", 4)
     path = tmp_path / "adv.json"
@@ -458,6 +475,75 @@ def test_sweep_records_per_cell_errors(tmp_path, capsysbinary):
     assert rows[1]["epsilon"] == ""
 
 
+# ---------------------------------------------------------- report config
+
+
+# one command or more per subcommand kind; qkd rate and threshold resolve
+# h from --h and from --bases
+CONFIG_COMMANDS = (
+    ["bound", "mu", "--basis2", "circular"],
+    ["bound", "sixstate"],
+    ["bound", "overall", "--d", "8"],
+    ["bound", "numeric"],
+    ["verify", "azuma", "--trials", "100"],
+    ["verify", "sequence-bound", "--n", "3"],
+    ["verify", "delta-bound", "--x", "0.02"],
+    ["verify", "chain-rule", "--eps-prime", "0.02"],
+    ["verify", "splitting", "--size", "4"],
+    ["verify", "pa", "--n", "3"],
+    ["verify", "relation", "--n", "2", "--state", "zero"],
+    ["ot", "run", "--epr"],
+    ["ot", "check-receiver", "--n", "2"],
+    ["ot", "check-sender", "--adversary", "all-plus", "--n", "3"],
+    ["commit", "run", "--b", "1"],
+    ["commit", "check-binding", "--adversary", "breidbart", "--n", "3"],
+    ["qkd", "run", "--N", "200", "--max-sift", "50"],
+    ["qkd", "rate", "--h", "0.6", "--p", "0.02"],
+    ["qkd", "rate", "--bases", "sixstate", "--p", "0.02"],
+    ["qkd", "threshold", "--h", "0.5"],
+    ["qkd", "threshold", "--bases", "bb84"],
+    ["sweep"],
+)
+
+
+@pytest.mark.parametrize("argv", CONFIG_COMMANDS, ids=" ".join)
+def test_config_is_the_parsed_arguments(argv, tmp_path, capsysbinary):
+    # a report's config is the subcommand plus every parsed argument in
+    # camelCase, without the dispatch keys, the output flags and sweep's
+    # file path; qkd's resolved h and sweep's grid are the only additions
+    if argv == ["sweep"]:
+        argv = ["sweep", "--config",
+                write_config(tmp_path, "task = overall\nd = 2,3\nseed = 5\n")]
+    args = cli.build_parser().parse_args(argv)
+    left_out = {"command", "kind", "config", "out", "format", "json",
+                "verbose"}
+    want = {"subcommand": " ".join(argv[:1] if argv[0] == "sweep"
+                                   else argv[:2])}
+    want.update({re.sub(r"_(\w)", lambda m: m.group(1).upper(), key): value
+                 for key, value in vars(args).items() if key not in left_out})
+    if argv[0] == "qkd" and argv[1] != "run" and args.h is None:
+        want["h"] = {"bb84": uncertainty.bb84_basis_set,
+                     "sixstate": uncertainty.six_state_basis_set}[
+                         args.bases]().h
+    if argv[0] == "sweep":
+        want.update({"task": "overall", "seed": 5, "cells": 2})
+    configs = []
+    for extra in ([], ["--out", str(tmp_path / "r.csv"), "--format", "csv",
+                       "-v"]):
+        code, out, _ = run_main(capsysbinary, argv + extra + ["--json"])
+        assert code in (0, 1), argv
+        configs.append(parse_report(out)["config"])
+    assert configs == [cli._canonical(want)] * 2
+
+
+def test_config_leaves_out_exactly_the_output_flags():
+    # a new output flag must be named here too, or it would leak into every
+    # report's config and change its bytes
+    p = argparse.ArgumentParser()
+    cli._add_common(p)
+    assert set(vars(p.parse_args([]))) == set(cli._OUTPUT_FLAGS)
+
+
 # ------------------------------------------------------------ exit code 2
 
 
@@ -473,7 +559,18 @@ def test_usage_errors_exit_2():
     assert exc.value.code == 2
 
 
-def test_domain_errors_exit_2(capsysbinary):
+# adversary files the reader refuses: not an object, no n, a unitary
+# without its imaginary part, kept not a list, ancillas beside per-wire bases
+MALFORMED_ADVERSARIES = (
+    {"name": "x"},
+    {"n": 2, "unitary": {"re": [[1, 0], [0, 1]]}},
+    [1, 2],
+    {"n": 2, "measure": {"0": "+", "1": "x"}, "kept": None},
+    {"n": 2, "kept": [0], "measure": {"1": "+"}, "ancillas": "a"},
+)
+
+
+def test_domain_errors_exit_2(capsysbinary, tmp_path):
     # x = 0.4 lies past 1/e; x = 0.1 maps to y > 1/4
     for x in ("0.4", "0.1"):
         code, _, err = run_main(capsysbinary,
@@ -539,6 +636,16 @@ def test_domain_errors_exit_2(capsysbinary):
         assert code == 2, argv
         assert out == b"" and err.startswith(b"error:"), argv
         assert b"Traceback" not in err, argv
+    # malformed adversary files (the library refuses the same five)
+    for i, data in enumerate(MALFORMED_ADVERSARIES):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_main(capsysbinary,
+                                  ["commit", "check-binding", "--adversary",
+                                   str(path), "--n", "2"])
+        assert code == 2, data
+        assert out == b"" and err.startswith(b"error:"), data
+        assert b"Traceback" not in err, data
 
 
 def test_open_numeric_bracket_exits_2(capsysbinary, monkeypatch):

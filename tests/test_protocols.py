@@ -51,12 +51,14 @@ def test_run_ot_is_deterministic_per_seed():
 
 
 def test_run_ot_warns_on_long_output():
-    with pytest.warns(UserWarning):
-        protocols.run_ot(4, 3, 0, 0)
-    with pytest.raises(ValueError):
-        protocols.run_ot(0, 1, 0, 0)
-    with pytest.raises(ValueError):
-        protocols.run_ot(4, 1, 2, 0)
+    # both honest runs check their arguments alike
+    for run in (protocols.run_ot, protocols.run_epr_ot):
+        with pytest.warns(UserWarning, match="exceeds n/2"):
+            run(4, 3, 0, 0)
+        with pytest.raises(ValueError):
+            run(0, 1, 0, 0)
+        with pytest.raises(ValueError):
+            run(4, 1, 2, 0)
 
 
 def test_run_ot_wrong_basis_outcomes_are_fair():
@@ -89,10 +91,10 @@ def test_honest_runs_match_per_qubit_reference():
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", UserWarning)  # l > n/2
                     ot = protocols.run_ot(n, 1, c, seed)
+                    epr = protocols.run_epr_ot(n, 1, c, seed)
                 assert (ot.x, ot.theta, ot.x_prime) == want
                 com = protocols.run_commit(n, c, seed)
                 assert (com.x, com.theta, com.x_prime) == want
-                epr = protocols.run_epr_ot(n, 1, c, seed)
                 assert (epr.x, epr.theta, epr.x_prime) == (
                     oracles.honest_run_oracle(n, c, seed, epr=True))
 
@@ -214,6 +216,27 @@ def test_adversary_json_round_trips():
         BoundedAdversary.from_json({**spec,
                                     "unitary": {"re": np.eye(4).tolist(),
                                                 "im": np.zeros((4, 4)).tolist()}})
+
+
+# adversary files the reader refuses: not an object, no n, a unitary
+# without its imaginary part, kept not a list, ancillas beside per-wire bases
+MALFORMED_ADVERSARIES = (
+    {"name": "x"},
+    {"n": 2, "unitary": {"re": [[1, 0], [0, 1]]}},
+    [1, 2],
+    {"n": 2, "measure": {"0": "+", "1": "x"}, "kept": None},
+    {"n": 2, "kept": [0], "measure": {"1": "+"}, "ancillas": "a"},
+)
+
+
+def test_adversary_from_json_refuses_malformed_files():
+    for data in MALFORMED_ADVERSARIES:
+        with pytest.raises(ValueError):
+            BoundedAdversary.from_json(data)
+    # a file past the checkers' gate is refused before its 2^n attack
+    with pytest.raises(ValueError, match="exact checkers handle"):
+        BoundedAdversary.from_json(
+            {"n": 40, "measure": {str(i): "+" for i in range(40)}})
 
 
 def test_product_adversary_validation():
@@ -419,6 +442,23 @@ def test_one_walk_binding_matches_two_walks(redone):
                      "cheat_upper", "cheat_lower", "weak_sum"):
             assert getattr(rep, name) == pytest.approx(
                 getattr(ref, name), abs=1e-9), (adv.name, name)
+
+
+def test_binding_check_can_fail_at_desk_scale():
+    # a committer measuring every wire in the circular basis at n = 7: its
+    # binding link is not capped at 1, so scaling the opening operators
+    # past eps makes holds fail (n = 6 would round eps_raw to 1 - ulp)
+    adv = product_adversary("circular", 7, {i: "o" for i in range(7)})
+    rep = protocols.check_binding(adv)
+    alpha, tau, opening, prob_bb = oracles.binding_openings_two_pass(adv)
+    assert rep == protocols._binding_report(adv, alpha, tau, opening, prob_bb)
+    assert rep.cheat_upper == rep.cheat_lower == 0.023132324218749993
+    assert rep.eps_raw == rep.eps == 0.8408964152537143
+    assert not rep.trivial and rep.holds
+    inflated = protocols._binding_report(adv, alpha, tau, 40.0 * opening,
+                                         prob_bb)
+    assert inflated.cheat_upper > inflated.eps
+    assert not inflated.holds
 
 
 def test_q0_binding_openings_are_exact():
@@ -799,6 +839,20 @@ def test_receiver_check_guards():
     big = script_battery(7, 1)[0]
     with pytest.raises(ValueError):
         protocols.check_receiver_security(big, 1)
+
+
+def test_attack_and_receiver_size_gates():
+    # one message per limit, from the library, whoever calls it
+    protocols.check_attack_size(1)
+    protocols.check_attack_size(protocols.MAX_ATTACK_QUBITS)
+    for n in (0, -1, protocols.MAX_ATTACK_QUBITS + 1):
+        with pytest.raises(ValueError, match=f"got n = {n}"):
+            protocols.check_attack_size(n)
+    protocols.check_receiver_size(protocols.MAX_RECEIVER_QUBITS)
+    with pytest.raises(ValueError, match="got n = 7"):
+        protocols.check_receiver_size(protocols.MAX_RECEIVER_QUBITS + 1)
+    with pytest.raises(ValueError, match="exact checkers handle"):
+        protocols.check_binding(all_plus(protocols.MAX_ATTACK_QUBITS + 1))
 
 
 def test_receiver_check_rejects_mismatched_hash_lengths():
