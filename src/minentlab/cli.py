@@ -300,9 +300,7 @@ def cmd_verify(args, config: dict) -> list[dict]:
         checks.append(_check("deltaBound", value=rep.x, bound=rep.lower,
                              holds=rep.holds, y=rep.y))
     elif args.kind == "chain-rule":
-        if args.nx * args.ny > distrib.MAX_JOINT_ATOMS:
-            raise ValueError("joint too large "
-                             f"(nx * ny <= {distrib.MAX_JOINT_ATOMS})")
+        distrib.check_joint_size(args.nx, args.ny)
         rng = np.random.default_rng(args.seed)
         w = rng.random((args.nx, args.ny))
         w /= w.sum()
@@ -313,9 +311,7 @@ def cmd_verify(args, config: dict) -> list[dict]:
         checks.append(_check("chainRule", value=rep.lhs, bound=rep.rhs,
                              holds=rep.holds, nearEquality=rep.near_equality))
     elif args.kind == "splitting":
-        if args.size ** 2 > distrib.MAX_JOINT_ATOMS:
-            raise ValueError("joint too large "
-                             f"(size^2 <= {distrib.MAX_JOINT_ATOMS})")
+        distrib.check_joint_size(args.size, args.size)
         rng = np.random.default_rng(args.seed)
         w = rng.random((args.size, args.size))
         w /= w.sum()

@@ -23,7 +23,7 @@ WEIGHT_FLOOR = 1e-15
 SLACK = 1e-9
 # Size gate of the random joints the command line draws, atom by atom, for
 # the chain-rule and splitting verifiers (at the gate about 6 s and 0.45 GB
-# on a 2-core x86-64).
+# on a 2-core x86-64); `check_joint_size` runs it.
 MAX_JOINT_ATOMS = 1_000_000
 
 
@@ -33,6 +33,17 @@ class InfeasibleMassError(ValueError):
 
 class PreconditionError(ValueError):
     """A declared entropy precondition does not hold for the input."""
+
+
+def check_joint_size(rows: int, cols: int) -> None:
+    """Refuse a rows x cols joint with an empty side or past MAX_JOINT_ATOMS
+    atoms, before any atom is drawn."""
+    if rows < 1 or cols < 1:
+        raise ValueError("a joint needs at least one row and one column, "
+                         f"got {rows} x {cols}")
+    if rows * cols > MAX_JOINT_ATOMS:
+        raise ValueError(f"joint too large ({rows} x {cols} atoms > "
+                         f"{MAX_JOINT_ATOMS})")
 
 
 class SubDistribution:

@@ -28,7 +28,12 @@ read the memory operators |a><a| as real coordinates
 binding check sums them and builds complex matrices once, for the POVM
 solver.  The tableaux come from one `qsim.basis_string_walk`, which
 rotates each prefix once and shares it: about one Hadamard contraction per
-basis string, with at most n + 1 rotated tensors live.
+basis string, with at most n + 1 rotated tensors live.  An attack whose
+isometry is real (every product attack over the +, x and Breidbart bases,
+the class of Damgard-Fehr-Salvail-Schaffner, FOCS 2005) keeps its tableaux
+in float64, so the walk and the tableau copies run in real arithmetic
+with the bits the complex ones give; a complex attack (circular, Haar)
+walks in complex128.
 
 The family-averaged distance over both announced hashes is evaluated with a
 Walsh-Hadamard character identity over the Toeplitz row family, which turns
@@ -36,11 +41,13 @@ an infeasible enumeration over hash pairs into a transform of the
 post-measurement operators.  The operators enter as real coordinates (mass,
 trace and gap vector, or the float64 view for q = 2), so the transforms are
 float64 GEMMs; the x0 transform of each basis string is shared by both
-branches of the split, and q <= 1 trace norms are one closed form.  At n=8
-a sender check takes 0.6-0.95 s for all-plus and breidbart and 1.4-1.8 s
-for store-one-diag (one BLAS thread, 2-core x86-64).  Tests cross-check
-the distance against direct enumeration at n <= 4 and against the complex
-transform path up to n = 7.
+branches of the split, and q <= 1 trace norms are one closed form.  The
+transforms of every string write into one workspace that a sender check
+allocates once.  At n=8 a sender check takes 0.34-0.41 s for all-plus,
+0.40-0.45 s for breidbart and 0.89-0.94 s for store-one-diag, and a
+binding check 0.26-0.32 s, 0.27-0.29 s and 0.58-0.62 s (one BLAS thread,
+2-core x86-64).  Tests cross-check the distance against direct
+enumeration at n <= 4 and against the complex transform path up to n = 7.
 """
 
 from __future__ import annotations
@@ -470,14 +477,17 @@ class BoundedAdversary:
     @classmethod
     def from_json(cls, data: Mapping) -> "BoundedAdversary":
         """to_json's form or {"n", "measure": {wire: basis}, "kept"}; a
-        malformed file, or one past check_attack_size, raises ValueError."""
+        malformed file, or one past check_attack_size, raises ValueError.
+        n, ancillas and the kept wires are JSON integers, not booleans or
+        floats, and a measure key is a wire's decimal string (or an int)."""
         if not isinstance(data, Mapping) or "n" not in data:
             raise ValueError("an adversary is a JSON object with an n")
-        name, n = data.get("name", "adversary"), int(data["n"])
+        name, n = data.get("name", "adversary"), _json_int(data["n"], "n")
         check_attack_size(n)
         kept, spec = data.get("kept", []), data.get("unitary")
         if not isinstance(kept, list):
             raise ValueError("kept must be a list of wires")
+        kept = tuple(_json_int(w, "a kept wire") for w in kept)
         if "measure" in data:
             measure = data["measure"]
             if (spec is not None or "ancillas" in data
@@ -485,14 +495,28 @@ class BoundedAdversary:
                 raise ValueError("measure maps wires to bases; it takes no "
                                  "unitary or ancillas")
             return product_adversary(
-                name, n, {int(k): v for k, v in measure.items()}, kept)
+                name, n, {_wire_key(k): v for k, v in measure.items()}, kept)
         u = None
         if spec is not None:
             if not isinstance(spec, Mapping) or not {"re", "im"} <= set(spec):
                 raise ValueError("a unitary needs both re and im parts")
             u = np.array(spec["re"], dtype=float) + 1j * np.array(spec["im"], dtype=float)
-        return cls(name=name, n=n, kept=tuple(int(w) for w in kept),
-                   ancillas=int(data.get("ancillas", 0)), unitary=u)
+        return cls(name=name, n=n, kept=kept, unitary=u,
+                   ancillas=_json_int(data.get("ancillas", 0), "ancillas"))
+
+
+def _json_int(value, what: str) -> int:
+    """``value`` if it is an integer and not a bool, else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _wire_key(key) -> int:
+    """A measure key as a wire: a decimal string such as "3", or an int."""
+    if isinstance(key, str) and key.isascii() and key.isdigit():
+        return int(key)
+    return _json_int(key, "a measure key")
 
 
 def product_adversary(name: str, n: int, measure: Mapping[int, object],
@@ -553,7 +577,8 @@ class _Tableau:
         live = pk > 1e-300
         if not np.any(live):
             return 0.0
-        return float((p[:, live].max(axis=0) / pk[live]).max())
+        # a dead record's ratio reads 0, below every live record's
+        return float((p.max(axis=0) / np.where(live, pk, np.inf)).max())
 
     @functools.cached_property
     def conditional(self) -> np.ndarray:
@@ -561,9 +586,8 @@ class _Tableau:
         mass read 0 (they never contribute weight)."""
         p_x1k = self.p.sum(axis=0)
         p_k = p_x1k.sum(axis=0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(p_k > 0.0, p_x1k / np.where(p_k > 0.0, p_k, 1.0),
-                            0.0)
+        return np.divide(p_x1k, p_k, out=np.zeros_like(p_x1k),
+                         where=p_k > 0.0)
 
     def heavy(self, tau: float) -> np.ndarray:
         """Boolean (2^m1, record) mask of atoms whose diagonal-subset string
@@ -586,6 +610,11 @@ class _EprAttack:
     adversary register.  `split_walk` rotates the sender wires to each
     basis string in turn and hands its `_Tableau`, from which every
     security figure follows, to the check together with its heavy mask.
+    ``base`` is float64 when V has no imaginary part, complex128 otherwise;
+    the Hadamard rotations are real, so a real attack's tableaux stay real.
+    Its reports then come from dgemm where the complex walk calls zgemm;
+    the two gave the same bits with numpy's bundled OpenBLAS 0.3.31 on
+    x86-64 with FMA, the only BLAS and CPU that equality was checked on.
     """
 
     def __init__(self, adversary: BoundedAdversary):
@@ -594,9 +623,13 @@ class _EprAttack:
         measured = [w for w in range(wires) if w not in adversary.kept]
         self.k_dim = 2 ** len(measured)
         self.mem_dim = 2 ** adversary.q
-        v = adversary.isometry()
-        self.base = (v.T / 2 ** (self.n / 2.0)).reshape(
-            (2,) * self.n + (2,) * wires)
+        v, scale = adversary.isometry(), 2 ** (self.n / 2.0)
+        if v.imag.any():
+            base = v.T / scale
+        else:
+            # the complex quotient's arithmetic, re * (1 / scale): same bits
+            base = v.T.real * (1.0 / scale)
+        self.base = base.reshape((2,) * self.n + (2,) * wires)
         # adversary axes of base in (record, memory) order
         self.register = tuple(self.n + w
                               for w in measured + list(adversary.kept))
@@ -704,7 +737,7 @@ class SenderSecurityReport:
                 "trivial": self.trivial, "holds": self.holds}
 
 
-def _sender_terms(tab: _Tableau, mask1: np.ndarray
+def _sender_terms(tab: _Tableau, mask1: np.ndarray, work: np.ndarray
                   ) -> tuple[float, float, float]:
     """One basis string's P[C' = 1] term and its two branch terms of the
     family-averaged real-vs-ideal distance, exact, for one-bit hashes.
@@ -725,25 +758,34 @@ def _sender_terms(tab: _Tableau, mask1: np.ndarray
     no atom adds exactly 0 and is skipped.  That is one x0 and at most two
     x1 transforms of a (coordinate, 2^n, record) array and at most four
     trace-norm stacks, closed form for q <= 1 and eigvalsh for q = 2.
+
+    Every string of one attack has a coordinate array of the same C 2^n k
+    entries, so the x0 transform, the masked array, the x1 transform and
+    ref +- b2 are written with ``out=`` into the four rows of ``work``, a
+    (4, C 2^n k) float64 workspace one check allocates once and every
+    string shares; the same ufunc and BLAS calls, so the same bits.
     """
     theta_prior = freq_prior = 2.0 ** (-len(tab.theta))
     prob_c1 = theta_prior * float(tab.p.sum(axis=0)[mask1].sum())
     coords = qsim._outer_coordinates(tab.a.swapaxes(0, 1))
     size, n1, n0 = coords.shape[:3]                      # (c, x1, x0, k)
-    t = hadamard(n0) @ coords                            # (c, x1, a0, k)
+    t, masked, b2, pm = (row.reshape(coords.shape) for row in work)
+    np.matmul(hadamard(n0), coords, out=t)               # (c, x1, a0, k)
     h1 = hadamard(n1)
     parts = [0.0, 0.0]
     for uniform_axis, mask in ((0, mask1), (1, ~mask1)):
         if not mask.any():
             continue
-        masked = (t * mask[:, None, :]).reshape(size, n1, -1)
-        b2 = (h1 @ masked).reshape(t.shape)              # (c, a1, a0, k)
+        np.multiply(t, mask[:, None, :], out=masked)
+        np.matmul(h1, masked.reshape(size, n1, -1),
+                  out=b2.reshape(size, n1, -1))          # (c, a1, a0, k)
         if uniform_axis == 0:
             ref = b2[:, 0:1]           # frequency 0 on the x1 side
         else:
             ref = b2[:, :, 0:1]        # frequency 0 on the x0 side
-        part = (qsim._coordinate_trace_norms(ref + b2).sum()
-                + qsim._coordinate_trace_norms(ref - b2).sum())
+        part = qsim._coordinate_trace_norms(np.add(ref, b2, out=pm)).sum()
+        part += qsim._coordinate_trace_norms(
+            np.subtract(ref, b2, out=pm)).sum()
         parts[uniform_axis] = theta_prior * freq_prior * 0.25 * float(part)
     return prob_c1, parts[0], parts[1]
 
@@ -753,16 +795,19 @@ def _sender_distance(attack: _EprAttack
     """alpha, tau, the family-averaged distance and P[C' = 1] from one
     `split_walk`.  Each string's terms are kept (3 floats per string); the
     strings whose mask moved are redone under the final tau, and the terms
-    are added in walk order, as a pass under the final tau alone would."""
+    are added in walk order, as a pass under the final tau alone would.
+    Every string's transforms share one `_sender_terms` workspace."""
     terms = [None] * 2 ** attack.n
+    work = np.empty((4, qsim._coordinate_count(attack.mem_dim)
+                     * 2 ** attack.n * attack.k_dim))
 
     def visit(s, tab, mask):
-        terms[s] = _sender_terms(tab, mask)
+        terms[s] = _sender_terms(tab, mask, work)
 
     alpha, tau, stale = attack.split_walk(visit)
     for s, theta, _ in stale:
         tab = attack.tableau(theta)
-        terms[s] = _sender_terms(tab, tab.heavy(tau))
+        terms[s] = _sender_terms(tab, tab.heavy(tau), work)
     distance = prob_c1 = 0.0
     for p_term, d_term0, d_term1 in terms:
         prob_c1 += p_term

@@ -323,7 +323,8 @@ def _outer_coordinates(amps: np.ndarray) -> np.ndarray:
     """Real coordinates (C, ...) of |a><a| for an (..., D) stack of
     amplitude vectors, C-contiguous in the stack's axis order whatever its
     strides.  For D <= 2 they come from the real and imaginary parts, with
-    no complex operator built."""
+    no complex operator built; a real stack's imaginary plane reads as
+    zeros."""
     d = amps.shape[-1]
     if d > 2:
         return _coordinates(amps[..., :, None] * amps[..., None, :].conj())

@@ -497,9 +497,12 @@ def sender_two_pass(adv) -> tuple[float, float, float, float]:
     arithmetic, without its running tau and redone strings."""
     attack = protocols._EprAttack(adv)
     alpha, tau = two_pass_alpha_tau(attack)
+    work = np.empty((4, qsim._coordinate_count(attack.mem_dim)
+                     * 2 ** attack.n * attack.k_dim))
     total = prob_c1 = 0.0
     for tab in attack.tableaux():
-        p_term, d_term0, d_term1 = protocols._sender_terms(tab, tab.heavy(tau))
+        p_term, d_term0, d_term1 = protocols._sender_terms(
+            tab, tab.heavy(tau), work)
         prob_c1 += p_term
         total += d_term0
         total += d_term1

@@ -560,13 +560,21 @@ def test_usage_errors_exit_2():
 
 
 # adversary files the reader refuses: not an object, no n, a unitary
-# without its imaginary part, kept not a list, ancillas beside per-wire bases
+# without its imaginary part, kept not a list, ancillas beside per-wire bases;
+# then an n, kept wire or ancillas that is not a JSON integer (null, a list,
+# a float, a bool), which is refused, never rounded or cast
 MALFORMED_ADVERSARIES = (
     {"name": "x"},
     {"n": 2, "unitary": {"re": [[1, 0], [0, 1]]}},
     [1, 2],
     {"n": 2, "measure": {"0": "+", "1": "x"}, "kept": None},
     {"n": 2, "kept": [0], "measure": {"1": "+"}, "ancillas": "a"},
+    {"n": None},
+    {"n": 2, "kept": [[0]], "measure": {"1": "+"}},
+    {"n": 1, "unitary": {"re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]},
+     "ancillas": None},
+    {"n": 2.7, "measure": {"0": "+", "1": "+"}},
+    {"n": True, "measure": {"0": "+"}},
 )
 
 
@@ -631,12 +639,15 @@ def test_domain_errors_exit_2(capsysbinary, tmp_path):
                  ["commit", "check-binding", "--adversary", "all-plus",
                   "--n", "-1"],
                  ["verify", "relation", "--n", "0"],
-                 ["verify", "relation", "--n", "-1"]):
+                 ["verify", "relation", "--n", "-1"],
+                 ["verify", "chain-rule", "--nx", "0"],
+                 ["verify", "chain-rule", "--nx", "-3", "--ny", "-3"],
+                 ["verify", "splitting", "--size", "0"]):
         code, out, err = run_main(capsysbinary, argv)
         assert code == 2, argv
         assert out == b"" and err.startswith(b"error:"), argv
         assert b"Traceback" not in err, argv
-    # malformed adversary files (the library refuses the same five)
+    # malformed adversary files (the library refuses the same ones)
     for i, data in enumerate(MALFORMED_ADVERSARIES):
         path = tmp_path / f"bad{i}.json"
         path.write_text(json.dumps(data))

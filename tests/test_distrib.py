@@ -269,6 +269,19 @@ def test_split_rejects_insufficient_entropy():
             JointDistribution(("a", "b", "c"), {(0, 0, 0): 1.0}), 0.0)
 
 
+def test_joint_size_gate():
+    # the gate is the product, up to and including MAX_JOINT_ATOMS
+    distrib.check_joint_size(1, 1)
+    distrib.check_joint_size(1000, distrib.MAX_JOINT_ATOMS // 1000)
+    for rows, cols in ((1000, distrib.MAX_JOINT_ATOMS // 1000 + 1),
+                       (10 ** 6, 10 ** 6)):
+        with pytest.raises(ValueError, match="joint too large"):
+            distrib.check_joint_size(rows, cols)
+    for rows, cols in ((0, 4), (4, 0), (0, 0), (-3, -3)):
+        with pytest.raises(ValueError, match="at least one row"):
+            distrib.check_joint_size(rows, cols)
+
+
 def test_conditional_split_certificate():
     rng = np.random.default_rng(77)
     for trial in range(20):

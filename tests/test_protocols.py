@@ -239,6 +239,42 @@ def test_adversary_from_json_refuses_malformed_files():
             {"n": 40, "measure": {str(i): "+" for i in range(40)}})
 
 
+def test_adversary_from_json_reads_integers_only():
+    # n, ancillas and kept wires are JSON integers, measure keys decimal
+    # strings: nothing is rounded or cast from a float, a bool or null
+    eye = {"re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}
+    refused = (
+        {"n": None},
+        {"n": 2, "kept": [[0]], "measure": {"1": "+"}},
+        {"n": 1, "unitary": eye, "ancillas": None},
+        {"n": 2.7, "measure": {"0": "+", "1": "+"}},
+        {"n": 2.0, "measure": {"0": "+", "1": "+"}},
+        {"n": True, "measure": {"0": "+"}},
+        {"n": "2", "measure": {"0": "+", "1": "+"}},
+        {"n": 2, "kept": [0.0], "measure": {"1": "+"}},
+        {"n": 2, "kept": [False], "measure": {"1": "+"}},
+        {"n": 1, "unitary": eye, "ancillas": 0.0},
+        {"n": 1, "unitary": eye, "ancillas": False},
+        {"n": 1, "kept": [0], "unitary": eye, "ancillas": "0"},
+        {"n": 2, "measure": {"0": "+", "1.0": "+"}},
+        {"n": 2, "measure": {"0": "+", " 1": "+"}},
+        {"n": 2, "measure": {"0": "+", "-1": "+", "1": "+"}},
+    )
+    for data in refused:
+        with pytest.raises(ValueError):
+            BoundedAdversary.from_json(data)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        BoundedAdversary.from_json({"n": True, "measure": {"0": "+"}})
+    # the same adversaries with integer fields are read as written
+    adv = BoundedAdversary.from_json({"n": 2, "kept": [0],
+                                      "measure": {"1": "+"}})
+    assert adv.n == 2 and adv.kept == (0,)
+    adv = BoundedAdversary.from_json({"n": 1, "unitary": eye, "ancillas": 0})
+    assert adv.n == 1 and adv.ancillas == 0
+    adv = BoundedAdversary.from_json({"n": 2, "measure": {"0": "+", 1: "x"}})
+    assert adv.q == 0
+
+
 def test_product_adversary_validation():
     with pytest.raises(ValueError):
         product_adversary("bad", 2, {0: "+", 1: "x"}, kept=(1,))
@@ -490,6 +526,92 @@ def test_sender_check_builds_no_complex_operator_for_q_le_1(monkeypatch):
     assert calls == []
     protocols.check_binding(store_one_diag(5))
     assert len(calls) == 1
+
+
+def complex_base(adv, shape):
+    """The attack tableau's base as a complex attack gets it: the complex
+    quotient of the isometry, imaginary parts zero for a real attack."""
+    return (adv.isometry().T / 2 ** (adv.n / 2.0)).reshape(shape)
+
+
+REAL_ATTACKS = ([make(n) for n in (3, 4, 5, 6)
+                 for make in (all_plus, all_breidbart, store_one_diag)]
+                + [product_adversary("q2", 5, {0: "x", 2: "breidbart",
+                                               4: "+"}, kept=(1, 3))])
+
+
+def test_real_attacks_walk_in_real_arithmetic(monkeypatch):
+    # a real isometry keeps its tableau in float64; every report field is
+    # the one its complex tableau gives, bit for bit (dgemm against zgemm:
+    # checked with numpy's bundled OpenBLAS on x86-64)
+    real = [protocols._EprAttack(adv) for adv in REAL_ATTACKS]
+    for adv, attack in zip(REAL_ATTACKS, real):
+        assert attack.base.dtype == np.float64, adv.name
+        assert np.array_equal(complex_base(adv, attack.base.shape),
+                              attack.base), adv.name
+    found = [(protocols._sender_distance(attack),
+              protocols.check_sender_security(adv),
+              protocols.check_binding(adv))
+             for adv, attack in zip(REAL_ATTACKS, real)]
+    init = protocols._EprAttack.__init__
+
+    def complex_init(self, adv):
+        init(self, adv)
+        self.base = complex_base(adv, self.base.shape)
+
+    monkeypatch.setattr(protocols._EprAttack, "__init__", complex_init)
+    for adv, got in zip(REAL_ATTACKS, found):
+        attack = protocols._EprAttack(adv)
+        assert attack.base.dtype == np.complex128, adv.name
+        assert got == (protocols._sender_distance(attack),
+                       protocols.check_sender_security(adv),
+                       protocols.check_binding(adv)), (adv.name, adv.n)
+
+
+def test_tableau_ratio_and_conditional_read_live_records():
+    # records 1 and 2 carry no mass or less than the 1e-300 floor: the worst
+    # ratio is the live records' exactly, the conditional 0 where no mass
+    p = np.zeros((2, 2, 4))
+    p[..., 0] = [[0.1, 0.2], [0.3, 0.15]]
+    p[0, 1, 2] = 1e-310
+    p[..., 3] = [[0.05, 0.05], [0.1, 0.05]]
+    tab = protocols._Tableau((0, 1), np.sqrt(p)[..., None], p)
+    live = p.reshape(4, 4)[:, [0, 3]]
+    assert tab.worst_ratio() == float((live.max(axis=0)
+                                       / live.sum(axis=0)).max())
+    p_x1k = p.sum(axis=0)
+    assert np.array_equal(tab.conditional[:, [0, 2, 3]],
+                          p_x1k[:, [0, 2, 3]] / p_x1k[:, [0, 2, 3]].sum(axis=0))
+    assert not tab.conditional[:, 1].any()
+    dead = protocols._Tableau((0, 1), np.zeros((2, 2, 1, 1)),
+                              np.zeros((2, 2, 1)))
+    assert dead.worst_ratio() == 0.0 and not dead.conditional.any()
+
+
+def test_complex_attacks_keep_complex_arithmetic():
+    circular = product_adversary("circular", 4, {i: "o" for i in range(4)})
+    for adv in (circular, haar_one_ancilla(3, 1)):
+        assert protocols._EprAttack(adv).base.dtype == np.complex128, adv.name
+
+
+def test_sender_terms_workspace_keeps_every_bit():
+    # one workspace shared by every string, starting as garbage, gives each
+    # string's three floats exactly as a fresh workspace does
+    rng = np.random.default_rng(41)
+    for adv in (store_one_diag(4), haar_one_ancilla(4, 2),
+                product_adversary("q2", 4, {0: "x", 3: "breidbart"},
+                                  kept=(1, 2)), all_breidbart(3)):
+        attack = protocols._EprAttack(adv)
+        tau = oracles.two_pass_alpha_tau(attack)[1]
+        shape = (4, qsim._coordinate_count(attack.mem_dim)
+                 * 2 ** attack.n * attack.k_dim)
+        shared = np.full(shape, np.nan)
+        for tab in attack.tableaux():
+            heavy = tab.heavy(tau)
+            for mask in (heavy, ~heavy, rng.random(heavy.shape) < 0.5):
+                assert (protocols._sender_terms(tab, mask, shared)
+                        == protocols._sender_terms(tab, mask,
+                                                   np.empty(shape))), adv.name
 
 
 def test_sender_report_all_plus_closed_form():

@@ -147,6 +147,21 @@ def test_outer_coordinates_match_operator_coordinates():
                                rtol=1e-14, atol=1e-15), d
 
 
+def test_outer_coordinates_of_real_stacks():
+    """A real stack's imaginary plane reads as zeros: its coordinates are
+    those of the same stack cast to complex, up to the sign of a zero."""
+    rng = np.random.default_rng(30)
+    for d in (1, 2, 4):
+        amps = rng.normal(size=(3, 5, d))
+        amps[0, :2] = 0.0                  # zero products and cross terms
+        amps[1, 0, -1] = -0.0
+        for view in (amps, amps.swapaxes(0, 1)):
+            got = qsim._outer_coordinates(view)
+            want = qsim._outer_coordinates(view.astype(np.complex128))
+            assert got.dtype == np.float64 and got.flags.c_contiguous, d
+            assert np.array_equal(got + 0.0, want + 0.0), d
+
+
 def test_public_spectral_entries_reject_non_hermitian():
     bad = np.array([[0.5, 0.4], [0.3, 0.5]])
     stack = np.stack([np.eye(2), bad])
